@@ -2,7 +2,7 @@
 
 Two end-to-end workloads through the SCUBA operator, each run with
 ``batched_ingest=False`` (the scalar reference) and ``batched_ingest=True``
-(the configured ingest kernel, numpy when installed), one JSON report
+(the ingest kernel), one JSON report
 (``BENCH_ingest.json``):
 
 **parked-convoys** — every convoy stopped in place, everyone reporting
@@ -44,7 +44,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core import Scuba, ScubaConfig  # noqa: E402
 from repro.generator import GeneratorConfig, NetworkBasedGenerator  # noqa: E402
-from repro.ingest import make_ingest_kernel  # noqa: E402
 from repro.network import grid_city  # noqa: E402
 from repro.streams import CollectingSink, EngineConfig, StreamEngine  # noqa: E402
 
@@ -90,7 +89,6 @@ def run_mode(args, workload, batched: bool, scale: float,
             grid_size=args.grid,
             delta=DELTA,
             batched_ingest=batched,
-            kernel_backend=args.backend,
         )
     )
     sink = CollectingSink()
@@ -148,8 +146,7 @@ def bench_workload(args, workload, scale, warmup, intervals, repeats,
     counters = batched_run["counters"]
     if verbose:
         print(f"  {workload['name']}: scalar {scalar['ingest_seconds']:.3f}s  "
-              f"batched[{counters.get('ingest_backend', '?')}] "
-              f"{batched_run['ingest_seconds']:.3f}s  "
+              f"batched {batched_run['ingest_seconds']:.3f}s  "
               + (f"speedup {speedup:.2f}x  " if speedup else "")
               + f"batched rows {counters.get('fast_path_batched', 0)}  "
               + f"refreshes deduped {counters.get('grid_refresh_deduped', 0)}"
@@ -181,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", type=int, default=100,
                         help="spatial grid size (NxN cells)")
     parser.add_argument("--query-range", type=float, default=60.0)
-    parser.add_argument("--backend", default="auto",
-                        help="ingest kernel backend for the batched runs")
     parser.add_argument("--warmup", type=int, default=2,
                         help="warm-up intervals (untimed)")
     parser.add_argument("--intervals", type=int, default=10,
@@ -206,8 +201,7 @@ def main(argv=None) -> int:
     else:
         scale, warmup = 1.0, args.warmup
         intervals, repeats = args.intervals, args.repeats
-    backend = make_ingest_kernel(args.backend).name
-    print(f"batched ingest bench [{backend}]: "
+    print(f"batched ingest bench: "
           f"{int(args.objects * scale)} objects + "
           f"{int(args.queries * scale)} queries, skew {args.skew}, "
           f"{warmup} warm-up + {intervals} timed intervals, "
@@ -249,7 +243,6 @@ def main(argv=None) -> int:
             "grid_size": args.grid,
             "query_range": args.query_range,
             "delta": DELTA,
-            "ingest_backend": backend,
             "warmup_intervals": warmup,
             "timed_intervals": intervals,
             "repeats": max(1, repeats),

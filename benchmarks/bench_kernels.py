@@ -5,11 +5,10 @@ Two measurement layers, one JSON report (``BENCH_kernels.json``):
 **Kernel microbenchmark** — synthetic dense cluster pairs at several
 member counts and shed fractions, timed directly through
 ``join_within_pair`` per backend (``scalar`` — the seed-faithful
-reference loops, ``python`` — the batched stdlib default, ``numpy`` when
-installed).  This isolates the member-level kernels the backends differ
-in; the headline number is the geometric-mean speedup of ``python`` over
-``scalar`` across the no-shedding cases (the paper's default η = 0
-configuration).  Shedding cases are reported alongside: there the
+reference loops, ``numpy`` — the default).  This isolates the
+member-level kernels the backends differ in; the headline number is the
+geometric-mean speedup of ``numpy`` over ``scalar`` across the
+no-shedding cases (the paper's default η = 0 configuration).  Shedding cases are reported alongside: there the
 cross-product *emission* of shed-group matches dominates and all
 backends converge — batching buys little by design.
 
@@ -45,7 +44,7 @@ from repro.core.joins import ClusterJoinView, join_within_pair  # noqa: E402
 from repro.experiments import WorkloadSpec, bench_scale, build_workload  # noqa: E402
 from repro.generator import EntityKind  # noqa: E402
 from repro.geometry import Point  # noqa: E402
-from repro.kernels import available_backends, resolve_backend  # noqa: E402
+from repro.kernels import resolve_backend  # noqa: E402
 from repro.streams import CollectingSink, EngineConfig, StreamEngine  # noqa: E402
 
 #: (members per side, shed fraction) cells of the microbenchmark.  Member
@@ -322,18 +321,11 @@ def main(argv=None) -> int:
         spec = WorkloadSpec(seed=args.seed, skew=args.skew).scaled(scale)
         intervals, repeats = args.intervals, args.repeats
         rep_budget, kernel_cases = args.rep_budget, KERNEL_CASES
-    backends = ["scalar", "python"] + (
-        ["numpy"] if "numpy" in available_backends() else []
-    )
+    backends = ["scalar", "numpy"]  # reference first
     print(f"kernel backends: {backends}")
     print("kernel microbenchmark (dense synthetic cluster pairs):")
     kernel_results = kernel_microbench(backends, kernel_cases, args.seed, rep_budget)
     kernel_agree = all(case["matches_agree"] for case in kernel_results)
-    headline = _geomean(
-        case["speedup_vs_scalar"].get("python")
-        for case in kernel_results
-        if case["shed_fraction"] == 0.0
-    )
     numpy_headline = _geomean(
         case["speedup_vs_scalar"].get("numpy")
         for case in kernel_results
@@ -347,11 +339,8 @@ def main(argv=None) -> int:
         spec, args.operators, backends, intervals, args.delta, repeats
     )
     matches_agree = kernel_agree and e2e_agree
-    if headline is not None:
-        print(f"kernel speedup (no shedding, geomean), python vs scalar: "
-              f"{headline:.2f}x")
     if numpy_headline is not None:
-        print(f"kernel speedup (no shedding, geomean), numpy  vs scalar: "
+        print(f"kernel speedup (no shedding, geomean), numpy vs scalar: "
               f"{numpy_headline:.2f}x")
     results = {
         "workload": {
@@ -366,7 +355,6 @@ def main(argv=None) -> int:
         },
         "backends": backends,
         "kernel_cases": kernel_results,
-        "kernel_speedup_python_vs_scalar": headline,
         "kernel_speedup_numpy_vs_scalar": numpy_headline,
         "end_to_end_runs": e2e_runs,
         "matches_agree": matches_agree,

@@ -8,8 +8,7 @@ and adaptively-sharded — and reports
 
 * **equivalence** (always enforced, the gate CI runs on): the static and
   adaptive sharded answer multisets must be *exactly* the serial
-  engine's, per interval, for every variant in {plain, incremental,
-  batched-ingest, columnar};
+  engine's, per interval, for both variants {plain, batched-ingest};
 * **critical-path speedup** (the point of resharding): summed
   per-interval max-shard join seconds, static vs adaptive.  Enforced
   ≥ ``--min-speedup`` (default 1.2x) on full local runs; with
@@ -45,9 +44,7 @@ from repro.streams import CollectingSink, EngineConfig, StreamEngine  # noqa: E4
 
 SCUBA_VARIANTS = {
     "plain": {},
-    "incremental": {"incremental": True},
     "batched": {"batched_ingest": True},
-    "columnar": {"columnar": True},
 }
 
 

@@ -3,8 +3,8 @@
 The roadmap's scale ladder measures how far the operator climbs before
 wall-clock or memory gives out.  This seeds the ladder with its first
 rung — 10k entities (5000 objects + 5000 queries) — run twice per rung:
-object-based state and ``--columnar`` array-backed state.  Each
-measurement records
+per-object update rows and tick-batched columns.  Each measurement
+records
 
 * **wall** — seconds for the timed steady-state intervals,
 * **stages** — generate / ingest / join / maintenance seconds from the
@@ -38,7 +38,7 @@ DELTA = 2.0
 
 
 def run_worker(args) -> dict:
-    """Measure one (population, columnar) cell inside this process."""
+    """Measure one (population, tick mode) cell inside this process."""
     from repro.core import Scuba, ScubaConfig
     from repro.generator import GeneratorConfig, NetworkBasedGenerator
     from repro.network import grid_city
@@ -59,14 +59,7 @@ def run_worker(args) -> dict:
             tick_batching=args.tick_batching,
         ),
     )
-    scuba_config = ScubaConfig(
-        grid_size=args.grid,
-        delta=DELTA,
-        columnar=args.columnar,
-        # Pinned per cell: False measures the per-pair reference sweep,
-        # True the macro-batched sweep (the operator default).
-        batched_join=args.batched_join,
-    )
+    scuba_config = ScubaConfig(grid_size=args.grid, delta=DELTA)
     operator = None
     if args.shards > 1:
         from repro.parallel import ScubaShardFactory, ShardedEngine
@@ -103,9 +96,7 @@ def run_worker(args) -> dict:
     run_stats = engine.stats
     return {
         "population": population,
-        "columnar": args.columnar,
         "tick_batching": args.tick_batching,
-        "batched_join": args.batched_join,
         "shards": args.shards,
         "wall_seconds": wall,
         "stages": stages,
@@ -126,13 +117,7 @@ def run_worker(args) -> dict:
     }
 
 
-def measure_cell(
-    args,
-    population: int,
-    columnar: bool,
-    tick_batching: bool,
-    batched_join: bool = False,
-) -> dict:
+def measure_cell(args, population: int, tick_batching: bool) -> dict:
     """Run one (rung, mode) cell in a fresh child process."""
     cmd = [
         sys.executable, str(Path(__file__).resolve()),
@@ -146,18 +131,13 @@ def measure_cell(
         "--intervals", str(args.intervals),
         "--shards", str(args.shards),
     ]
-    if columnar:
-        cmd.append("--columnar")
     if tick_batching:
         cmd.append("--tick-batching")
-    if batched_join:
-        cmd.append("--batched-join")
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(
             f"ladder worker failed (population {population}, "
-            f"columnar={columnar}, tick_batching={tick_batching}, "
-            f"batched_join={batched_join}):\n"
+            f"tick_batching={tick_batching}):\n"
             f"{proc.stderr}"
         )
     return json.loads(proc.stdout)
@@ -188,11 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tiny smoke rung (CI): 400 entities")
     parser.add_argument("--worker", type=int, metavar="POPULATION",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--columnar", action="store_true",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--tick-batching", dest="tick_batching",
-                        action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--batched-join", dest="batched_join",
                         action="store_true", help=argparse.SUPPRESS)
     return parser
 
@@ -211,27 +187,12 @@ def main(argv=None) -> int:
         rungs = [int(r) for r in args.rungs.split(",") if r.strip()]
     print(f"scale ladder: rungs {rungs}, skew {args.skew}, "
           f"{args.warmup} warm-up + {args.intervals} timed intervals")
-    # The four storage/tick modes measure the per-pair reference sweep;
-    # two more cells pin the macro-batched sweep (the operator default)
-    # on the tick-batched path for both storage modes.
-    modes = [
-        (columnar, tick_batching, False)
-        for columnar in (False, True)
-        for tick_batching in (False, True)
-    ] + [
-        (columnar, True, True)
-        for columnar in (False, True)
-    ]
     cells = []
     for population in rungs:
-        for columnar, tick_batching, batched_join in modes:
-            cell = measure_cell(
-                args, population, columnar, tick_batching, batched_join
-            )
+        for tick_batching in (False, True):
+            cell = measure_cell(args, population, tick_batching)
             cells.append(cell)
-            mode = "columnar" if columnar else "objects "
-            mode += " batch" if tick_batching else " rows "
-            mode += " bjoin" if batched_join else "      "
+            mode = "batch" if tick_batching else "rows "
             stages = cell["stages"]
             line = (f"  {population:>8} {mode}: wall {cell['wall_seconds']:.3f}s  "
                     f"generate {stages['generate']:.3f}s  "

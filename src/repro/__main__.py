@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fraction of entities reporting per time unit")
     parser.add_argument("--stopped-fraction", type=float, default=0.0,
                         help="fraction of convoys parked in place (still "
-                             "reporting) — the steady-state regime "
-                             "--incremental replays")
+                             "reporting) — the steady-state regime the "
+                             "version-keyed caches serve")
     parser.add_argument("--hotspot", type=float, default=0.0,
                         help="fraction of convoys whose origins and "
                              "destinations stay inside a downtown sub-rect "
@@ -75,37 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "controller defends")
     parser.add_argument("--split", action="store_true",
                         help="enable cluster splitting at destinations")
-    parser.add_argument("--incremental", action="store_true",
-                        help="delta-driven incremental join sweep: replay "
-                             "memoized matches for structurally-clean, "
-                             "relatively-unmoved cluster pairs (scuba only)")
-    parser.add_argument("--batched-join", dest="batched_join",
-                        action="store_true", default=None,
-                        help="macro-batched join sweep: enumerate, dedup and "
-                             "between-filter all candidate cluster pairs per "
-                             "tick as whole-batch operations, and fuse "
-                             "shed-free join-within runs into segmented "
-                             "kernel calls (scuba only; default on unless "
-                             "--incremental; answers bit-identical)")
-    parser.add_argument("--no-batched-join", dest="batched_join",
-                        action="store_false",
-                        help="per-pair reference sweep (one join-between and "
-                             "kernel dispatch per candidate cluster pair)")
     parser.add_argument("--batched-ingest", action="store_true",
                         help="batched columnar ingest: process each tick's "
-                             "updates per cluster group through the "
-                             "--kernel-backend ingest kernel instead of one "
-                             "at a time (scuba only; answers unchanged)")
-    parser.add_argument("--columnar", action="store_true",
-                        help="columnar-first storage: cluster members and "
-                             "table bookkeeping rest in parallel arrays and "
-                             "post-join maintenance runs as whole-world "
-                             "vectorized sweeps (scuba only; answers and "
-                             "cluster state bit-identical)")
-    parser.add_argument("--columnar-backend",
-                        choices=["auto", "numpy", "array"], default="auto",
-                        help="columnar sweep backend (auto = numpy if "
-                             "installed, array = exact stdlib fallback)")
+                             "updates per cluster group instead of one at a "
+                             "time (scuba only; answers unchanged)")
     parser.add_argument("--stale-after", type=float, default=None,
                         metavar="T",
                         help="evict table rows for entities silent longer "
@@ -132,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     from .kernels import BACKEND_CHOICES
 
     parser.add_argument("--kernel-backend", choices=list(BACKEND_CHOICES),
-                        default="auto",
-                        help="join-kernel backend (auto = numpy if installed, "
-                             "else batched python)")
+                        default="numpy",
+                        help="join-within kernel backend (scalar = the "
+                             "tuple-at-a-time reference)")
     return parser
 
 
@@ -148,11 +121,7 @@ def make_scuba_config(args: argparse.Namespace) -> ScubaConfig:
         shed_budget=args.shed_budget,
         split_at_destination=args.split,
         kernel_backend=args.kernel_backend,
-        incremental=args.incremental,
-        batched_join=args.batched_join,
         batched_ingest=args.batched_ingest,
-        columnar=args.columnar,
-        columnar_backend=args.columnar_backend,
         stale_after=args.stale_after,
     )
 
@@ -213,39 +182,24 @@ def _hit_rate(counters: dict, name: str) -> str:
 
 
 def print_cache_footer(counters: dict) -> None:
-    """One-line cache/replay effectiveness summary (join_counters names)."""
+    """Cache effectiveness and join/ingest work summary (join_counters names)."""
     if "view_cache_hits" not in counters:
         return
-    line = (
+    print(
         f"caches: view {_hit_rate(counters, 'view_cache')} | "
         f"between {_hit_rate(counters, 'between_cache')}"
     )
-    if counters.get("incremental"):
-        line += (
-            f" | replay {_hit_rate(counters, 'replay')} | "
-            f"cells {_hit_rate(counters, 'cell_replay')} | "
-            f"clean clusters {_hit_rate(counters, 'cluster_clean')}"
-        )
-    print(line)
-    if counters.get("batched_join"):
-        print(
-            f"batched join: candidate pairs {counters.get('join_pairs_batched', 0)} | "
-            f"fused segments {counters.get('join_segments', 0)}"
-        )
+    print(
+        f"join: candidate pairs {counters.get('join_pairs_batched', 0)} | "
+        f"fused segments {counters.get('join_segments', 0)}"
+    )
     if counters.get("batched_ingest"):
         print(
-            f"ingest [{counters.get('ingest_backend', '?')}]: "
-            f"batched {counters.get('fast_path_batched', 0)} | "
+            f"ingest: batched {counters.get('fast_path_batched', 0)} | "
             f"bulk absorbs {counters.get('bulk_absorbs', 0)} | "
             f"grid refreshes deduped {counters.get('grid_refresh_deduped', 0)} "
             f"(+{counters.get('grid_refresh_skips', 0)} skipped) | "
             f"fallbacks {counters.get('batch_fallbacks', 0)}"
-        )
-    if counters.get("columnar"):
-        print(
-            f"columnar [{counters.get('columnar_backend', '?')}]: "
-            f"store compactions {counters.get('store_compactions', 0)} | "
-            f"stale evicted {counters.get('evicted_stale', 0)}"
         )
 
 
@@ -261,26 +215,9 @@ def main(argv=None) -> int:
             f"--adaptive-shedding requires --operator scuba, "
             f"got {args.operator}"
         )
-    if args.incremental and args.operator != "scuba":
-        raise SystemExit(
-            f"--incremental requires --operator scuba, got {args.operator}"
-        )
     if args.batched_ingest and args.operator != "scuba":
         raise SystemExit(
             f"--batched-ingest requires --operator scuba, got {args.operator}"
-        )
-    if args.batched_join is not None and args.operator != "scuba":
-        raise SystemExit(
-            f"--batched-join requires --operator scuba, got {args.operator}"
-        )
-    if args.batched_join and args.incremental:
-        raise SystemExit(
-            "--batched-join and --incremental select different sweep "
-            "drivers; drop one (plain --incremental wins by default)"
-        )
-    if args.columnar and args.operator != "scuba":
-        raise SystemExit(
-            f"--columnar requires --operator scuba, got {args.operator}"
         )
     if args.stale_after is not None and args.operator != "scuba":
         raise SystemExit(

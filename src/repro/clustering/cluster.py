@@ -123,9 +123,6 @@ class MovingCluster:
     __slots__ = (
         "cid",
         "version",
-        "struct_version",
-        "disp_x",
-        "disp_y",
         "cx",
         "cy",
         "radius",
@@ -164,21 +161,6 @@ class MovingCluster:
         #: bump it: they rebase member storage without changing any
         #: reconstructed position.
         self.version = 0
-        #: Monotonic *structural* change counter: bumped only by mutations
-        #: that change member geometry relative to the cluster — membership
-        #: churn (absorb/remove), shed-state transitions, and split
-        #: hand-offs.  Rigid translation (advance/flush) and derived-shape
-        #: refreshes (recentre, recompute_radius) do NOT bump it: they
-        #: cannot change which member pairs match.  The incremental join
-        #: sweep keys its match memos on this counter.
-        self.struct_version = 0
-        #: Cumulative rigid displacement applied by :meth:`advance` over the
-        #: cluster's lifetime.  Unlike ``trans_x``/``trans_y`` it is never
-        #: reset by :meth:`flush_transform`, so two snapshots of it tell the
-        #: incremental sweep exactly how far the cluster translated between
-        #: two evaluations.
-        self.disp_x = 0.0
-        self.disp_y = 0.0
         self.cx = centroid.x
         self.cy = centroid.y
         self.radius = 0.0
@@ -352,12 +334,11 @@ class MovingCluster:
                 # Heartbeat: the member re-reported exactly where the
                 # cluster already places it, at the same speed, bound for
                 # the same node.  Nothing join-relevant changed, so no
-                # version bumps — parked traffic stays cacheable (and,
-                # under incremental mode, replayable) while reporting.
+                # version bump — parked traffic stays cacheable while
+                # reporting.
                 member.last_t = update.t
                 return
             self.version += 1
-            self.struct_version += 1
             # Refresh — the per-tuple steady state, kept deliberately lean.
             # The paper "refrains from constantly updating" cluster-relative
             # state: a re-reporting member just overwrites its position and
@@ -397,7 +378,6 @@ class MovingCluster:
                 self.radius = math.sqrt(dist_sq)
             return
         self.version += 1
-        self.struct_version += 1
         # Absorption of a new member (paper §3.2 Step 4): the centroid is
         # adjusted toward the member by 1/n of the gap.  That adjustment
         # moves every *other* member relatively outward by the shift
@@ -441,7 +421,6 @@ class MovingCluster:
         table = self.objects if kind is EntityKind.OBJECT else self.queries
         member = table.pop(entity_id)
         self.version += 1
-        self.struct_version += 1
         self._speed_sum -= member.speed
         if member.position_shed:
             self.shed_count -= 1
@@ -584,8 +563,6 @@ class MovingCluster:
         self.cy += dy * frac
         self.trans_x += dx * frac
         self.trans_y += dy * frac
-        self.disp_x += dx * frac
-        self.disp_y += dy * frac
 
     def advance_to(self, t: float) -> None:
         """Lazily advance the cluster along its velocity vector to time ``t``.

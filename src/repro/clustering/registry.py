@@ -182,26 +182,6 @@ class ClusterGrid(SpatialGrid):
             self.remove(cid, cluster.grid_cells)
         self.register(cluster)
 
-    def refresh_all(self, clusters) -> None:
-        """Batched refresh: one eligibility pass, only escapees re-check.
-
-        The columnar maintenance engine defers survivors' grid refreshes
-        to a single pass after the whole maintenance loop.  Hoisting the
-        verified-snapshot probe here keeps the common all-parked tick to
-        one dict probe + tuple compare per cluster with a single counter
-        update at the end.
-        """
-        verified = self._verified
-        skipped = 0
-        for cluster in clusters:
-            if verified.get(cluster.cid) == (
-                cluster.version, cluster.cx, cluster.cy, cluster.radius
-            ):
-                skipped += 1
-            else:
-                self.refresh(cluster)
-        self.refresh_skips += skipped
-
     def unregister(self, cluster: MovingCluster) -> None:
         self.remove(cluster.cid, cluster.grid_cells)
         cluster.grid_cells = ()
@@ -212,16 +192,10 @@ class ClusterGrid(SpatialGrid):
 class ClusterWorld:
     """Facade keeping storage, home and grid mutually consistent."""
 
-    def __init__(
-        self, bounds: Rect, grid_size: int, cluster_factory=None
-    ) -> None:
+    def __init__(self, bounds: Rect, grid_size: int) -> None:
         self.storage = ClusterStorage()
         self.home = ClusterHome()
         self.grid = ClusterGrid(bounds, grid_size)
-        #: Optional ``(cid, centroid, cn_node, cn_loc, now) -> MovingCluster``
-        #: constructor override; the columnar subsystem installs one so
-        #: every cluster (including split successors) is column-backed.
-        self.cluster_factory = cluster_factory
         #: Optional callable invoked with the target cluster right before
         #: a membership mutation (absorb/evict).  The batched ingest
         #: kernel installs it for the duration of one tick's walk so
@@ -237,19 +211,13 @@ class ClusterWorld:
         self, centroid: Point, cn_node: NodeId, cn_loc: Point, now: float
     ) -> MovingCluster:
         """A fresh single-member-to-be cluster centred at ``centroid``."""
-        factory = self.cluster_factory
-        if factory is not None:
-            cluster = factory(
-                self.storage.allocate_cid(), centroid, cn_node, cn_loc, now
-            )
-        else:
-            cluster = MovingCluster(
-                cid=self.storage.allocate_cid(),
-                centroid=centroid,
-                cn_node=cn_node,
-                cn_loc=cn_loc,
-                now=now,
-            )
+        cluster = MovingCluster(
+            cid=self.storage.allocate_cid(),
+            centroid=centroid,
+            cn_node=cn_node,
+            cn_loc=cn_loc,
+            now=now,
+        )
         self.storage.add(cluster)
         self.grid.register(cluster)
         return cluster

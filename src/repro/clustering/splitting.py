@@ -68,9 +68,6 @@ def split_cluster(
             now=now,
         )
         for member in members:
-            # adopt() moves the member without re-absorption (the columnar
-            # cluster copies the columns; the object cluster keeps the
-            # instance and zeroes its translation snapshot).
             successor.adopt(member)
             transferred.append((member, successor))
         _finalise(successor, now)
@@ -97,7 +94,6 @@ def _finalise(successor: MovingCluster, now: float) -> None:
     count = successor.n
     # Bulk transfer bypassed absorb(); invalidate any derived snapshots.
     successor.version += 1
-    successor.struct_version += 1
     successor.avespeed = successor._speed_sum / count if count else 0.0
     radius = 0.0
     for member in successor.members():

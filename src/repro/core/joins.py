@@ -25,8 +25,8 @@ shed × shed          the two nuclei within query-window reach of each other
 
 The member-level tests themselves live in :mod:`repro.kernels`: each case
 is a batched kernel over the structure-of-arrays columns of
-:class:`ClusterJoinView`, implemented by interchangeable backends (scalar
-reference, batched pure Python, NumPy).  This module is the driver: it
+:class:`ClusterJoinView`, implemented by interchangeable backends (NumPy, and
+the scalar reference).  This module is the driver: it
 builds the views and sequences the kernels, identically for every backend.
 
 All shed members of a cluster share one nucleus, so they are tested *as a
@@ -119,30 +119,6 @@ class ClusterJoinView:
         # Shed members provably lie within the cluster; the nucleus cannot
         # usefully exceed the cluster's own radius.
         self.approx_radius = min(cluster.nucleus_radius, cluster.radius)
-        columns = getattr(cluster, "join_view_columns", None)
-        data = columns() if columns is not None else None
-        if data is not None:
-            # Columnar cluster with no shed members: the store's flushed
-            # columns *are* the view (zero-copy ndarray slices; ids stay
-            # Python lists so truthiness and iteration behave as before).
-            (
-                self.obj_ids,
-                self.obj_xs,
-                self.obj_ys,
-                self.obj_min_x,
-                self.obj_min_y,
-                self.obj_max_x,
-                self.obj_max_y,
-                self.query_ids,
-                self.query_xs,
-                self.query_ys,
-                self.query_hws,
-                self.query_hhs,
-            ) = data
-            self.shed_object_ids = []
-            self.shed_query_groups = {}
-            self.scratch = {}
-            return
         if not cluster.shed_count:
             # Shed-free cluster (the steady-state common case): no
             # per-member position_shed branch, so the columns fall out of

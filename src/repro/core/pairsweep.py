@@ -1,10 +1,10 @@
 """Macro-batched cell sweep: whole-tick candidate-pair join-between.
 
-The per-pair sweep of :meth:`repro.core.scuba.Scuba._joining_phase` spends
-its time in per-pair Python bookkeeping: a ``seen_pairs`` set probe, two
-attribute walks for the type-mix check, a scalar :func:`circles_overlap`
-and a dict probe per candidate pair.  This module hoists all of that into
-a handful of whole-tick batch operations (DESIGN.md §15):
+A per-pair sweep over the ClusterGrid would spend its time in per-pair
+Python bookkeeping: a seen-set probe, two attribute walks for the type-mix
+check, a scalar :func:`circles_overlap` and a dict probe per candidate
+pair.  This module does all of that in a handful of whole-tick batch
+operations (DESIGN.md §8):
 
 * :class:`ClusterSoA` — a cluster-level structure-of-arrays registry
   (centroid, radius, widest query half-diagonal, has-objects/has-queries
@@ -12,55 +12,36 @@ a handful of whole-tick batch operations (DESIGN.md §15):
   filter inputs need no per-pair attribute walks;
 * packed-key candidate enumeration — every multi-member grid cell
   contributes its ``(cid_l << 32) | cid_r`` pair keys (cids are
-  monotonically allocated ``int`` well below 2³², and sorted cell tuples
+  monotonically allocated ``int`` well below 2³², and row-sorted cells
   guarantee ``cid_l < cid_r``), deduplicated in **first-seen sweep
-  order** with one ``np.unique`` — exactly the order the per-pair
-  driver's seen-set establishes;
-* one vectorized join-between over all candidate pairs via the kernel
-  backend's :meth:`~repro.kernels.base.JoinKernelBackend.pairs_between`;
+  order** with one ``np.unique`` — the canonical order: cells in flat
+  index order, members ascending within a cell;
+* one vectorized join-between over all candidate pairs
+  (:func:`pairs_between`);
 * :class:`PairVerdictCache` — the version-keyed between-verdict cache as
   sorted parallel arrays, probed with one ``searchsorted`` gather and
-  folded in-place, hit/miss counts identical to the scalar driver's dict
-  tick for tick.
+  folded in-place.
 
-Without numpy (or under the ``scalar``/``python`` kernel backends) the
-same structure runs on stdlib lists: packed-int seen set, registry list
-gathers, the operator's existing dict between-cache, and a batched
-``pairs_between`` call over the cache misses.  Both paths return the
-surviving pairs in the canonical sweep order with exactly the counter
-deltas the per-pair driver would have produced.
+``between_tests`` counts the *logical* filter applications (the paper's
+cost metric) — one per unique type-mixed pair; the cache only skips
+recomputing the geometry for pairs whose clusters are both unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # Optional dependency (the ``perf`` extra); stdlib fallback below.
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _numpy = None
+import numpy as np
 
 __all__ = [
     "ClusterSoA",
     "PairVerdictCache",
     "BatchJoinState",
-    "resolve_sweep_numpy",
+    "pairs_between",
 ]
 
 #: Low 32 bits of a packed pair key (the right cid).
 _CID_MASK = 0xFFFFFFFF
-
-
-def resolve_sweep_numpy(kernel_name: str):
-    """The numpy module for the vectorized sweep, or None for stdlib.
-
-    Vectorization follows the *resolved* kernel backend: the sweep runs
-    its array path exactly when the member kernels do (``numpy``), so a
-    forced ``scalar``/``python`` backend pins the pure-Python sweep — the
-    same rule the columnar engine applies, and what the no-numpy CI leg
-    relies on.
-    """
-    return _numpy if kernel_name == "numpy" else None
 
 
 class ClusterSoA:
@@ -143,7 +124,7 @@ class ClusterSoA:
         if dirty:
             self._arrays = None
 
-    def arrays(self, np):
+    def arrays(self):
         """Cached ndarray mirrors of the columns (rebuilt after changes)."""
         arrays = self._arrays
         if arrays is None:
@@ -160,7 +141,7 @@ class ClusterSoA:
         return arrays
 
 
-def _in_sorted(np, values, sorted_ref):
+def _in_sorted(values, sorted_ref):
     """Boolean membership of ``values`` in the sorted array ``sorted_ref``."""
     out = np.zeros(values.shape, dtype=bool)
     if sorted_ref.size:
@@ -173,19 +154,17 @@ def _in_sorted(np, values, sorted_ref):
 class PairVerdictCache:
     """The between-verdict cache as sorted parallel arrays.
 
-    Mirrors the scalar driver's dict cache exactly: keyed on the packed
-    pair key, an entry holds both cluster versions plus the verdict, a
-    probe hits iff the entry exists with both versions unchanged, and
-    every probed pair's entry is (re)written.  Because cids are never
-    reused a stale entry can only miss, and because identical versions
-    imply identical filter inputs the cached verdict is always bit-equal
-    to a recompute — so hit/miss counts and served verdicts match the
-    dict, tick for tick.
+    Keyed on the packed pair key, an entry holds both cluster versions
+    plus the verdict, a probe hits iff the entry exists with both
+    versions unchanged, and every probed pair's entry is (re)written.
+    Because cids are never reused a stale entry can only miss, and
+    because identical versions imply identical filter inputs the cached
+    verdict is always bit-equal to a recompute.
     """
 
     __slots__ = ("keys", "lv", "rv", "verdict")
 
-    def __init__(self, np) -> None:
+    def __init__(self) -> None:
         self.keys = np.empty(0, dtype=np.int64)
         self.lv = np.empty(0, dtype=np.int64)
         self.rv = np.empty(0, dtype=np.int64)
@@ -194,7 +173,7 @@ class PairVerdictCache:
     def __len__(self) -> int:
         return int(self.keys.size)
 
-    def probe_update(self, np, keys, lver, rver, fresh) -> Tuple[int, Any]:
+    def probe_update(self, keys, lver, rver, fresh) -> Tuple[int, Any]:
         """Gather cached verdicts for ``keys`` and fold the batch back in.
 
         ``keys`` must be unique; ``fresh`` holds the recomputed verdicts.
@@ -224,7 +203,7 @@ class PairVerdictCache:
         out_s[valid] = self.verdict[pos[valid]]
         hits = int(np.count_nonzero(valid))
         # Fold in: overwrite present rows (version restamp), merge-insert
-        # the rest — exactly the dict's post-probe state.
+        # the rest.
         self.lv[fidx] = lv_s[found]
         self.rv[fidx] = rv_s[found]
         self.verdict[fidx] = fresh_s[found]
@@ -239,13 +218,13 @@ class PairVerdictCache:
         out[order] = out_s
         return hits, out
 
-    def prune(self, np, live_sorted) -> None:
+    def prune(self, live_sorted) -> None:
         """Drop entries whose left or right cluster no longer exists."""
         keys = self.keys
         if keys.size == 0:
             return
-        keep = _in_sorted(np, keys >> 32, live_sorted) & _in_sorted(
-            np, keys & _CID_MASK, live_sorted
+        keep = _in_sorted(keys >> 32, live_sorted) & _in_sorted(
+            keys & _CID_MASK, live_sorted
         )
         if not keep.all():
             self.keys = keys[keep]
@@ -257,54 +236,39 @@ class PairVerdictCache:
 class BatchJoinState:
     """Per-operator state of the macro-batched sweep.
 
-    Holds the cluster registry, the array between-cache (numpy path
-    only) and the cached ``triu_indices`` pair templates.  Dropped on
-    pickling by the owning operator and rebuilt lazily, so a shard
-    shipped to a numpy-less worker re-resolves the stdlib path cleanly.
+    Holds the cluster registry, the array between-cache and the cached
+    ``triu_indices`` pair templates.  Dropped on pickling by the owning
+    operator, which starts over with an empty one.
     """
 
-    __slots__ = ("np", "soa", "cache", "watermark", "_triu")
+    __slots__ = ("soa", "cache", "watermark", "_triu")
 
-    def __init__(self, np=None) -> None:
-        self.np = np
+    def __init__(self) -> None:
         self.soa = ClusterSoA()
-        self.cache = PairVerdictCache(np) if np is not None else None
-        # Same amortisation contract as the dict caches: full prune scans
-        # fire only past a watermark doubled beyond the surviving size.
+        self.cache = PairVerdictCache()
+        # Full prune scans fire only past a watermark doubled beyond the
+        # surviving size, so stable runs never scan and memory stays
+        # within 2x of the live pair population.
         self.watermark = 64
         self._triu: Dict[int, Tuple[Any, Any]] = {}
 
-    def sweep(
-        self, grid, use_filter: bool, dict_cache, backend
-    ) -> Tuple[Tuple[List[int], List[int]], int, int, int]:
+    def sweep(self, grid, use_filter: bool):
         """Enumerate, dedup and filter this tick's candidate pairs.
 
         Returns ``((lcids, rcids), mixed_pairs, cache_hits,
-        cache_misses)``: the surviving pairs as parallel cid columns in
-        canonical first-seen sweep order (int64 ndarrays on the numpy
-        path — ready for the driver's vectorised segment builder — and
-        plain lists on the stdlib path), the count of unique type-mixed
-        pairs (the logical between-test count), and the between-cache
-        counter deltas (both zero when ``use_filter`` is off — the
-        filter never runs).
+        cache_misses)``: the surviving pairs as parallel int64 cid columns
+        in canonical first-seen sweep order (empty lists when no cell
+        holds two clusters), the count of unique type-mixed pairs (the
+        logical between-test count), and the between-cache counter deltas
+        (both zero when ``use_filter`` is off — the filter never runs).
         """
-        if self.np is not None:
-            return self._sweep_numpy(grid, use_filter, backend)
-        return self._sweep_stdlib(grid, use_filter, dict_cache, backend)
-
-    # -- numpy path ---------------------------------------------------------
-
-    def _sweep_numpy(self, grid, use_filter: bool, backend):
-        np = self.np
         # Flatten every multi-member cell into one cid array plus member
         # counts (two C-speed calls per cell — the only Python-level loop
         # of the sweep), then group equal-sized cells with argsort and
         # scatter each group's pair keys from one fancy-indexing
         # expression over a cached triu template.  Cells feed in raw
         # bucket order; one vectorised row sort re-establishes the
-        # canonical ascending-cid member order, so the emitted pair
-        # sequence is identical to the per-pair driver's nested loop
-        # over ``sorted_members`` without paying that per-cell sort.
+        # canonical ascending-cid member order without a per-cell sort.
         flat: list = []
         lens: List[int] = []
         extend = flat.extend
@@ -345,13 +309,12 @@ class BatchJoinState:
             ordered[seq.reshape(-1)] = keys.reshape(-1)
         uk, first = np.unique(ordered, return_index=True)
         if uk.size != ordered.size:
-            # First-seen order — the canonical order the per-pair driver's
-            # seen-set establishes.
+            # First-seen order — the canonical emission order.
             uk = uk[np.argsort(first, kind="stable")]
         else:
             uk = ordered
         soa = self.soa
-        version, cx, cy, radius, mqhd, has_obj, has_qry = soa.arrays(np)
+        version, cx, cy, radius, mqhd, has_obj, has_qry = soa.arrays()
         il = (uk >> 32) - soa.base
         ir = (uk & _CID_MASK) - soa.base
         mix = (has_obj[il] & has_qry[ir]) | (has_qry[il] & has_obj[ir])
@@ -365,7 +328,7 @@ class BatchJoinState:
         hits = 0
         misses = 0
         if use_filter:
-            fresh = backend.pairs_between(
+            fresh = pairs_between(
                 cx[il],
                 cy[il],
                 radius[il],
@@ -376,141 +339,56 @@ class BatchJoinState:
                 mqhd[ir],
             )
             hits, verdicts = self.cache.probe_update(
-                np, uk, version[il], version[ir], fresh
+                uk, version[il], version[ir], fresh
             )
             misses = mixed - hits
             if not verdicts.all():
                 uk = uk[verdicts]
         # ndarray survivor columns: the driver's vectorised segment
-        # builder consumes them directly; the python fallback zips them
+        # builder consumes them directly; the generic loop zips them
         # (np.int64 cids hash like ints, so every dict probe still works).
         return (uk >> 32, uk & _CID_MASK), mixed, hits, misses
-
-    # -- stdlib fallback ----------------------------------------------------
-
-    def _sweep_stdlib(self, grid, use_filter: bool, cache, backend):
-        soa = self.soa
-        base = soa.base
-        if base is None:
-            return ([], []), 0, 0, 0
-        version = soa.version
-        cx = soa.cx
-        cy = soa.cy
-        radius = soa.radius
-        mqhd = soa.mqhd
-        has_obj = soa.has_obj
-        has_qry = soa.has_qry
-        seen: set = set()
-        seen_add = seen.add
-        mixed_l: List[int] = []
-        mixed_r: List[int] = []
-        hits = 0
-        # Pass 1: enumerate + dedup + type-mix + cache probe; misses pile
-        # their filter inputs into columns for one batched pairs_between.
-        verdicts: List[Any] = []
-        verdict_append = verdicts.append
-        miss_at: List[int] = []
-        miss_at_append = miss_at.append
-        m_lx: List[float] = []
-        m_ly: List[float] = []
-        m_lr: List[float] = []
-        m_lq: List[float] = []
-        m_rx: List[float] = []
-        m_ry: List[float] = []
-        m_rr: List[float] = []
-        m_rq: List[float] = []
-        for cids in grid.sweep_cells():
-            k = len(cids)
-            for i in range(k - 1):
-                cid_l = cids[i]
-                li = cid_l - base
-                key_l = cid_l << 32
-                for j in range(i + 1, k):
-                    cid_r = cids[j]
-                    key = key_l | cid_r
-                    if key in seen:
-                        continue
-                    seen_add(key)
-                    ri = cid_r - base
-                    if not (
-                        (has_obj[li] and has_qry[ri])
-                        or (has_qry[li] and has_obj[ri])
-                    ):
-                        continue
-                    mixed_l.append(cid_l)
-                    mixed_r.append(cid_r)
-                    if not use_filter:
-                        continue
-                    lv = version[li]
-                    rv = version[ri]
-                    cached = cache.get((cid_l, cid_r))
-                    if (
-                        cached is not None
-                        and cached[0] == lv
-                        and cached[1] == rv
-                    ):
-                        hits += 1
-                        verdict_append(cached[2])
-                    else:
-                        miss_at_append(len(verdicts))
-                        verdict_append(None)
-                        m_lx.append(cx[li])
-                        m_ly.append(cy[li])
-                        m_lr.append(radius[li])
-                        m_lq.append(mqhd[li])
-                        m_rx.append(cx[ri])
-                        m_ry.append(cy[ri])
-                        m_rr.append(radius[ri])
-                        m_rq.append(mqhd[ri])
-        if not use_filter:
-            return (mixed_l, mixed_r), len(mixed_l), 0, 0
-        # Pass 2: one batched filter over the misses, cache fold-in.
-        if miss_at:
-            fresh = backend.pairs_between(
-                m_lx, m_ly, m_lr, m_lq, m_rx, m_ry, m_rr, m_rq
-            )
-            for slot, verdict in zip(miss_at, fresh):
-                cid_l = mixed_l[slot]
-                cid_r = mixed_r[slot]
-                verdicts[slot] = verdict
-                cache[(cid_l, cid_r)] = (
-                    version[cid_l - base],
-                    version[cid_r - base],
-                    verdict,
-                )
-        lcids: List[int] = []
-        rcids: List[int] = []
-        for i, verdict in enumerate(verdicts):
-            if verdict:
-                lcids.append(mixed_l[i])
-                rcids.append(mixed_r[i])
-        return (lcids, rcids), len(mixed_l), hits, len(miss_at)
 
     # -- maintenance --------------------------------------------------------
 
     def prune(self, storage) -> None:
         """Bound the array cache and the registry across cluster churn.
 
-        Same amortisation as the dict caches: the cache scan fires only
-        past the watermark (doubled beyond the surviving size after each
-        prune); the registry is rebuilt from scratch — re-based at the
-        current lowest live cid — once stale rows dominate it.
+        The cache scan fires only past the watermark (doubled beyond the
+        surviving size after each prune); the registry is rebuilt from
+        scratch — re-based at the current lowest live cid — once stale
+        rows dominate it.
         """
         cache = self.cache
-        if cache is not None and len(cache) > self.watermark:
-            np = self.np
+        if len(cache) > self.watermark:
             live = np.asarray(
                 [cluster.cid for cluster in storage.clusters()],
                 dtype=np.int64,
             )
-            cache.prune(np, live)
+            cache.prune(live)
             self.watermark = max(64, 2 * len(cache))
         if len(self.soa) > 2 * len(storage) + 64:
             self.soa = ClusterSoA()
             self.soa.sync(storage.clusters())
 
 
-def _warm_numpy(np) -> None:
+def pairs_between(lxs, lys, lrads, lqs, rxs, rys, rrads, rqs):
+    """Batched join-between: one lossless overlap verdict per pair.
+
+    Columns are parallel per candidate cluster pair: left/right centroid
+    x/y, radius and widest query half-diagonal.  Each verdict equals
+    :func:`~repro.core.joins.join_between` on the pair's clusters, with
+    the same float association: ``(radius + bonus) + right_radius``, then
+    ``dx*dx + dy*dy``.
+    """
+    ar = lrads + np.maximum(lqs, rqs)
+    dx = lxs - rxs
+    dy = lys - rys
+    reach = ar + rrads
+    return dx * dx + dy * dy <= reach * reach
+
+
+def _warm_numpy() -> None:
     """Pre-pay NumPy's first-call setup for the sweep's routine repertoire.
 
     Sort/set-op machinery, ufunc loop resolution and fancy-indexing paths
@@ -552,5 +430,4 @@ def _warm_numpy(np) -> None:
     del alive
 
 
-if _numpy is not None:
-    _warm_numpy(_numpy)
+_warm_numpy()

@@ -39,7 +39,7 @@ class RegularConfig:
     bounds: Rect = field(default_factory=lambda: DEFAULT_BOUNDS)
     grid_size: int = 100
     #: Join-kernel backend, same choices as :class:`~repro.core.ScubaConfig`.
-    kernel_backend: str = "auto"
+    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.grid_size < 1:
@@ -231,8 +231,7 @@ class RegularGridJoin(StagedJoinOperator):
         self._init_state()
 
     # Shard factories pickle configured operators; the backend instance is
-    # dropped (its ``__reduce__`` would also work, but re-resolving keeps a
-    # remote process without NumPy working when config says "auto").
+    # dropped and re-resolved from config on the other side.
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()

@@ -27,31 +27,16 @@ inherited :meth:`evaluate` facade (used by off-process shard workers).
 Instrumentation counters (`between_tests`, `within_tests`, ...) are part of
 the public surface: the paper's figures report exactly these costs.
 
-Evaluation is **incremental across Δ-cycles**: join views and join-between
-verdicts are cached keyed on cluster version counters (see
+The joining phase is one whole-tick batched sweep (DESIGN.md §8): the
+candidate cluster pairs of every grid cell are enumerated, deduplicated
+and pre-filtered in a handful of array operations
+(:mod:`repro.core.pairsweep`), and shed-free surviving pairs are evaluated
+as fused join-within segments.  Join views and join-between verdicts are
+cached across Δ-cycles, keyed on cluster version counters (see
 :class:`~repro.core.joins.ClusterJoinView`), so clusters that did not
 change between evaluations are snapshotted and pre-filtered exactly once.
 The caches are pure memoisation — logical test counters and emitted
 matches are identical with and without them.
-
-With ``ScubaConfig(incremental=True)`` the sweep additionally **replays**
-memoized join-within answers instead of re-running the kernels.  The key
-observation (shared with MOIST's co-moving "schools"): between two
-evaluations most clusters either translate rigidly or do not move at all,
-so their member geometry — and therefore their match set against any
-partner with the same displacement — is unchanged.  ``MovingCluster``
-separates *structural* change (membership churn, shed transitions, split
-hand-offs; tracked by ``struct_version``) from *rigid translation*
-(tracked by the cumulative displacement ``disp_x``/``disp_y``); a
-pair-level memo records the between verdict, the logical within-test
-count and the matched ``(qid, oid)`` pairs, and is replayed with
-re-stamped timestamps whenever both clusters are structurally clean,
-shed-free and their displacement deltas since the memo cancel exactly.
-Cells untouched by any dirty cluster replay their whole pair list
-wholesale via the grid's dirty-cell set.  Replay is answer-preserving
-(multiset-equal to full recompute): structurally-clean stationary
-clusters present bitwise-identical member positions to the kernels, and
-the memoized matches came from a real kernel run over those positions.
 """
 
 from __future__ import annotations
@@ -60,23 +45,24 @@ from dataclasses import dataclass, field
 from math import hypot
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..clustering import (
     ClusteringSpec,
     ClusterWorld,
     IncrementalClusterer,
-    MovingCluster,
     split_cluster,
 )
 from ..generator import EntityKind, LocationUpdate, QueryUpdate, TickBatch, Update
 from ..generator.records import _EMPTY_ATTRS
 from ..geometry import Point, Rect
-from ..ingest import make_ingest_kernel
+from ..ingest import NumpyIngestKernel
 from ..kernels import BACKEND_CHOICES, resolve_backend
 from ..network import DEFAULT_BOUNDS
 from ..shedding import AdaptiveShedder, NoShedding, SheddingPolicy
 from ..streams import MatchList, QueryMatch, StagedJoinOperator
-from .joins import ClusterJoinView, join_between, join_within_pair, join_within_self
-from .pairsweep import BatchJoinState, resolve_sweep_numpy
+from .joins import ClusterJoinView, join_within_pair, join_within_self
+from .pairsweep import BatchJoinState
 from .tables import ObjectsTable, QueriesTable
 
 __all__ = ["ScubaConfig", "Scuba"]
@@ -130,41 +116,17 @@ class ScubaConfig:
     #: already reported their next destination are regrouped into
     #: successor clusters without re-clustering churn.
     split_at_destination: bool = False
-    #: Join-kernel backend: ``"auto"`` picks NumPy when installed (the
-    #: ``perf`` extra) and the batched pure-Python backend otherwise;
-    #: ``"scalar"`` is the seed-faithful reference path.
-    kernel_backend: str = "auto"
-    #: Delta-driven incremental sweep: memoize per-pair and per-cluster
-    #: join-within answers and replay them (with re-stamped timestamps)
-    #: for structurally-clean, relatively-unmoved cluster pairs instead of
-    #: re-running the kernels; clean grid cells replay their pair lists
-    #: wholesale.  Answers stay multiset-identical to the full recompute.
-    incremental: bool = False
-    #: Macro-batched join sweep: enumerate this tick's candidate cluster
-    #: pairs from the whole grid at once (packed-key dedup), run one
-    #: batched join-between over all of them, and evaluate shed-free
-    #: surviving pairs as fused exact×exact segments (DESIGN.md §15).
-    #: ``None`` (default) turns it on whenever the incremental sweep is
-    #: not active — vectorized under the NumPy kernel backend, stdlib
-    #: batch fallback otherwise; ``False`` forces the per-pair driver.
-    #: Answers and counters stay identical to the per-pair sweep.
-    batched_join: Optional[bool] = None
+    #: Join-within kernel backend: ``"numpy"`` (vectorised, default) or
+    #: ``"scalar"``, the tuple-at-a-time reference the kernel property
+    #: tests compare against.
+    kernel_backend: str = "numpy"
     #: Batched columnar ingest: build one
     #: :class:`~repro.ingest.UpdateBatch` per evaluation tick and run the
     #: steady-state cluster-maintenance fast path per cluster group
-    #: (vectorised under the NumPy backend) instead of per update.  The
-    #: ingest kernel backend follows ``kernel_backend``.  Answers and
-    #: cluster assignments stay identical to the scalar loop (see
-    #: :mod:`repro.ingest.base` for the exactness contract).
+    #: instead of per update.  Answers and cluster assignments stay
+    #: identical to the scalar loop (see :mod:`repro.ingest.base` for the
+    #: exactness contract).
     batched_ingest: bool = False
-    #: Columnar-first storage: cluster members and table last-seen stamps
-    #: rest in parallel arrays (:mod:`repro.columnar`) and post-join
-    #: maintenance runs as whole-world vectorized sweeps.  Cluster state
-    #: and answers stay bit-identical to the object path (DESIGN.md §12).
-    columnar: bool = False
-    #: Columnar sweep backend: ``"auto"`` uses NumPy when installed,
-    #: ``"array"`` forces the exact stdlib scalar fallback.
-    columnar_backend: str = "auto"
     #: Evict table rows for entities silent for longer than this many time
     #: units, checked once per post-join maintenance pass.  ``None``
     #: (default) keeps rows forever (seed behaviour).
@@ -184,25 +146,10 @@ class ScubaConfig:
                 f"kernel_backend must be one of {BACKEND_CHOICES}, "
                 f"got {self.kernel_backend!r}"
             )
-        if self.columnar_backend not in ("auto", "numpy", "array"):
-            raise ValueError(
-                "columnar_backend must be one of ('auto', 'numpy', 'array'), "
-                f"got {self.columnar_backend!r}"
-            )
         if self.stale_after is not None and self.stale_after <= 0:
             raise ValueError(
                 f"stale_after must be positive, got {self.stale_after}"
             )
-        if self.batched_join and self.incremental:
-            raise ValueError(
-                "batched_join and incremental are mutually exclusive sweep "
-                "drivers (leave batched_join unset to let incremental win)"
-            )
-
-    @property
-    def batched_join_active(self) -> bool:
-        """Whether the macro-batched sweep drives the joining phase."""
-        return self.batched_join is not False and not self.incremental
 
     def clustering_spec(self) -> ClusteringSpec:
         return ClusteringSpec(
@@ -227,30 +174,9 @@ class Scuba(StagedJoinOperator):
         drift from construction (the seed re-called ``__init__``, which
         breaks under subclassing and re-validates config needlessly).
         """
-        if self.config.columnar:
-            # Imported lazily: repro.columnar depends on repro.clustering /
-            # repro.core, so a module-level import would be circular.
-            from ..columnar import (
-                ColumnarClusterFactory,
-                ColumnarObjectsTable,
-                ColumnarQueriesTable,
-                MaintenanceEngine,
-            )
-
-            backend = self.config.columnar_backend
-            self.world = ClusterWorld(
-                self.config.bounds,
-                self.config.grid_size,
-                cluster_factory=ColumnarClusterFactory(backend),
-            )
-            self.objects_table = ColumnarObjectsTable(backend)
-            self.queries_table = ColumnarQueriesTable(backend)
-            self.maintenance_engine: Optional[Any] = MaintenanceEngine(backend)
-        else:
-            self.world = ClusterWorld(self.config.bounds, self.config.grid_size)
-            self.objects_table = ObjectsTable()
-            self.queries_table = QueriesTable()
-            self.maintenance_engine = None
+        self.world = ClusterWorld(self.config.bounds, self.config.grid_size)
+        self.objects_table = ObjectsTable()
+        self.queries_table = QueriesTable()
         self.clusterer = IncrementalClusterer(
             self.world, self.config.clustering_spec()
         )
@@ -259,7 +185,7 @@ class Scuba(StagedJoinOperator):
         self._shed_is_noop = isinstance(self.config.shedding, NoShedding)
         # Sticky never-shed marker: flips the moment a real shedding policy
         # goes live and never flips back — shed members can outlive a later
-        # policy switch, so the vectorised batched driver (which assumes
+        # policy switch, so the vectorised segment assembly (which assumes
         # exact member columns) keys off the whole run's history, not the
         # current policy.
         self._ever_shed = not self._shed_is_noop
@@ -282,48 +208,15 @@ class Scuba(StagedJoinOperator):
         # each operator owns a fresh instance; ``None`` keeps the scalar
         # per-update loop byte-for-byte untouched when batching is off.
         self.ingest_kernel = (
-            make_ingest_kernel(self.config.kernel_backend)
-            if self.config.batched_ingest
-            else None
+            NumpyIngestKernel() if self.config.batched_ingest else None
         )
-        # Cross-evaluation caches, all keyed on cluster version counters
-        # (cids are never reused, so a stale cid can only miss or be
-        # pruned, never alias).  Dropped on pickling and rebuilt lazily.
+        # Cross-evaluation caches, keyed on cluster version counters (cids
+        # are never reused, so a stale cid can only miss or be pruned,
+        # never alias).  Dropped on pickling and rebuilt lazily.
         self._view_cache: Dict[int, ClusterJoinView] = {}
-        self._between_cache: Dict[Tuple[int, int], Tuple[int, int, bool]] = {}
-        # Reused across sweeps to avoid re-growing a large set every Δ.
-        self._seen_pairs: Set[Tuple[int, int]] = set()
-        # Full between-cache scans only fire once the cache outgrows this
-        # watermark (doubled past the live size after every prune), so
-        # stable runs skip the per-interval scan entirely.
-        self._between_watermark = 64
-        # Incremental-sweep state (config.incremental): match memos keyed on
-        # structural marks, the previous sweep's marks, and per-cell pair
-        # lists for wholesale cell replay.  A mark is the immutable triple
-        # ``(struct_version, disp_x, disp_y)``.  All are dropped on
-        # pickling; an empty mark table just makes the next sweep a full
-        # recompute.
-        self._pair_memo: Dict[
-            Tuple[int, int],
-            Tuple[
-                Tuple[int, float, float],
-                Tuple[int, float, float],
-                bool,
-                int,
-                Tuple[Tuple[int, int], ...],
-            ],
-        ] = {}
-        self._pair_memo_watermark = 64
-        self._self_memo: Dict[int, Tuple[int, int, Tuple[Tuple[int, int], ...]]] = {}
-        self._sweep_marks: Dict[int, Tuple[int, float, float]] = {}
-        self._cell_pairs: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        # Macro-batched sweep state (config.batched_join): cluster SoA
-        # registry, array between-cache, pair templates.  Built lazily on
-        # the first batched sweep and dropped on pickling, so shards
-        # re-resolve the numpy-vs-stdlib path per process.
-        self._batch_state: Optional[BatchJoinState] = None
-        if self.config.incremental:
-            self.world.grid.enable_dirty_tracking()
+        # Sweep state: cluster SoA registry, array between-cache, pair
+        # templates.
+        self._batch_state = BatchJoinState()
         # Phase timings of the most recent evaluate().
         self.last_join_seconds = 0.0
         self.last_maintenance_seconds = 0.0
@@ -336,21 +229,11 @@ class Scuba(StagedJoinOperator):
         self.view_cache_misses = 0
         self.between_cache_hits = 0
         self.between_cache_misses = 0
-        # Macro-batched sweep instrumentation: candidate mixed pairs that
-        # went through the whole-tick batched between filter, and shed-free
-        # join units fused into join_segments kernel calls.
+        # Sweep instrumentation: candidate mixed pairs that went through
+        # the whole-tick between filter, and shed-free join units fused
+        # into join_segments kernel calls.
         self.join_pairs_batched = 0
         self.join_segments = 0
-        # Incremental-sweep instrumentation: replayed vs freshly-computed
-        # join units (self joins + surviving pairs), wholesale-replayed vs
-        # fully-enumerated cells, and per-sweep clean vs dirty clusters.
-        # The hits/misses naming lets RunStats derive ``*_hit_rate``s.
-        self.replay_hits = 0
-        self.replay_misses = 0
-        self.cell_replay_hits = 0
-        self.cell_replay_misses = 0
-        self.cluster_clean_hits = 0
-        self.cluster_clean_misses = 0
 
     # -- phase 1: pre-join maintenance ------------------------------------------
 
@@ -456,9 +339,6 @@ class Scuba(StagedJoinOperator):
         Members whose position was load shed fall back to the cluster
         centroid — the same nucleus approximation their join uses here.
 
-        Reads only the shared member API (``get_member`` /
-        ``member_location``), so the object-backed and columnar storage
-        paths export identically, without touching columnar slot proxies.
         Entities this shard no longer holds are skipped.  Returns
         ``{"updates": [...], "clusters": N}`` with ``N`` the distinct
         source clusters touched.
@@ -519,16 +399,13 @@ class Scuba(StagedJoinOperator):
     def join_phase(self, now: float) -> List[QueryMatch]:
         """The Δ-triggered cluster join; returns the current query answers.
 
-        The macro-batched driver answers into a :class:`MatchList` so its
-        segmented kernel can splice whole columnar match runs in at their
-        canonical positions; the per-pair and incremental drivers keep the
-        plain list (their kernels emit row by row either way).
+        Answers come back in a :class:`MatchList` so the segmented kernel
+        can splice whole columnar match runs in at their canonical
+        positions.
         """
         self.evaluations += 1
-        results: List[QueryMatch] = (
-            MatchList() if self.config.batched_join_active else []
-        )
-        self._joining_phase(now, results)
+        results = MatchList()
+        self._joining_phase_batched(now, results)
         return results
 
     def shed_phase(self, now: float) -> None:
@@ -572,123 +449,31 @@ class Scuba(StagedJoinOperator):
         self.set_shedding_policy(self.shedder.policy)
         return True
 
-    def _view_of(self, cluster: MovingCluster) -> ClusterJoinView:
-        """Cached join view of ``cluster``, rebuilt only when it changed."""
-        view = self._view_cache.get(cluster.cid)
-        if view is not None and view.version == cluster.version:
-            self.view_cache_hits += 1
-            return view
-        self.view_cache_misses += 1
-        view = ClusterJoinView(cluster)
-        self._view_cache[cluster.cid] = view
-        return view
-
-    def _joining_phase(self, now: float, results: List[QueryMatch]) -> None:
-        """Algorithm 1, lines 8-21: the cell sweep."""
-        if self.config.incremental:
-            self._joining_phase_incremental(now, results)
-            return
-        if self.config.batched_join is not False:
-            self._joining_phase_batched(now, results)
-            return
-        storage = self.world.storage
-        view_of = self._view_of
-        backend = self.kernels
-
-        # Self join-within for every mixed cluster (Algorithm 1, line 15).
-        for cluster in storage.clusters():
-            if cluster.is_mixed:
-                self.within_tests += join_within_self(
-                    view_of(cluster), now, results, backend
-                )
-
-        # Pairwise joins for clusters sharing a grid cell.  A pair may share
-        # several cells; the seen-set makes it join exactly once.
-        seen_pairs = self._seen_pairs
-        seen_pairs.clear()
-        between_cache = self._between_cache
-        use_filter = self.config.use_between_filter
-        grid = self.world.grid
-        for cell, members in grid.occupied_cells():
-            if len(members) < 2:
-                continue
-            cids = grid.sorted_members(cell)
-            for i, cid_l in enumerate(cids):
-                left = storage.get(cid_l)
-                for cid_r in cids[i + 1 :]:
-                    pair = (cid_l, cid_r)
-                    if pair in seen_pairs:
-                        continue
-                    seen_pairs.add(pair)
-                    right = storage.get(cid_r)
-                    # Join only pairs that can mix types (line 18).
-                    if not (
-                        (left.objects and right.queries)
-                        or (left.queries and right.objects)
-                    ):
-                        continue
-                    if use_filter:
-                        # between_tests counts the *logical* filter
-                        # applications (the paper's cost metric); the memo
-                        # only skips recomputing the geometry for pairs
-                        # whose clusters are both unchanged.
-                        self.between_tests += 1
-                        cached = between_cache.get(pair)
-                        if (
-                            cached is not None
-                            and cached[0] == left.version
-                            and cached[1] == right.version
-                        ):
-                            self.between_cache_hits += 1
-                            verdict = cached[2]
-                        else:
-                            self.between_cache_misses += 1
-                            verdict = join_between(left, right)
-                            between_cache[pair] = (
-                                left.version,
-                                right.version,
-                                verdict,
-                            )
-                        if not verdict:
-                            continue
-                        self.between_hits += 1
-                    self.within_tests += join_within_pair(
-                        view_of(left), view_of(right), now, results, backend
-                    )
-
-    # -- macro-batched sweep (config.batched_join) --------------------------------
-
     def _joining_phase_batched(self, now: float, results: List[QueryMatch]) -> None:
-        """The macro-batched sweep: same visit order, whole-tick batches.
+        """Algorithm 1, lines 8-21, as three whole-tick batch operations.
 
-        Observationally identical to :meth:`_joining_phase`'s per-pair
-        loop — the candidate pairs, the logical counter increments
-        (``between_tests``/``within_tests``/cache hits and misses) and the
-        QueryMatch multiset all match — but the work is restructured into
-        three whole-tick batch operations: vectorised pair enumeration
-        over the grid cells (:class:`BatchJoinState`), one
-        ``pairs_between`` kernel call over every uncached candidate pair,
-        and fused ``join_segments`` runs over consecutive shed-free
-        surviving pairs.  Shed clusters flush the pending segment run and
-        take the per-pair path, so emission stays grouped in the canonical
-        per-unit order.
+        Self join-within for every mixed cluster (line 15), then the cell
+        sweep: vectorised pair enumeration over the grid cells
+        (:class:`BatchJoinState`; a pair sharing several cells joins
+        exactly once, and only pairs that can mix types are kept — line
+        18), one batched join-between over the candidates, and fused
+        ``join_segments`` runs over consecutive shed-free surviving pairs.
+        Shed clusters flush the pending segment run and take the per-case
+        kernels (:func:`join_within_self` / :func:`join_within_pair`), so
+        emission stays grouped in the canonical per-unit order.
         """
         storage = self.world.storage
         backend = self.kernels
         state = self._batch_state
-        if state is None:
-            state = self._batch_state = BatchJoinState(
-                resolve_sweep_numpy(backend.name)
-            )
         clusters = storage.clusters()
         state.soa.sync(clusters)
 
         pending: List[Tuple[ClusterJoinView, ClusterJoinView]] = []
         pending_append = pending.append
-        # The view cache probe is inlined (vs _view_of) in both driver
-        # loops: at tens of thousands of probes per tick the method-call
-        # frame is measurable.  Hit/miss tallies accumulate in locals and
-        # fold into the counters once per phase.
+        # The view cache probe is inlined in every loop below: at tens of
+        # thousands of probes per tick a method-call frame is measurable.
+        # Hit/miss tallies accumulate in locals and fold into the counters
+        # once per phase.
         view_cache = self._view_cache
         view_get = view_cache.get
         view_hits = 0
@@ -702,8 +487,8 @@ class Scuba(StagedJoinOperator):
 
         # Self join-within (Algorithm 1, line 15): a shed-free mixed
         # cluster queues an exact×exact segment; shed members force the
-        # per-case kernel sequencing, so those clusters flush and run the
-        # per-pair path in place.
+        # per-case kernel sequencing, so those clusters flush and run
+        # join_within_self in place.
         for cluster in clusters:
             if not (cluster.objects and cluster.queries):  # is_mixed
                 continue
@@ -724,7 +509,7 @@ class Scuba(StagedJoinOperator):
 
         use_filter = self.config.use_between_filter
         (survivor_l, survivor_r), mixed, cache_hits, cache_misses = state.sweep(
-            self.world.grid, use_filter, self._between_cache, backend
+            self.world.grid, use_filter
         )
         self.join_pairs_batched += mixed
         if use_filter:
@@ -733,19 +518,20 @@ class Scuba(StagedJoinOperator):
             self.between_cache_misses += cache_misses
             self.between_hits += len(survivor_l)
         get = storage.get
-        np_mod = state.np
+        join_indexed = getattr(backend, "join_segments_indexed", None)
         if (
-            np_mod is not None
+            join_indexed is not None
             and not self._ever_shed
             and not isinstance(survivor_l, list)
         ):
-            # Vectorised segment assembly (numpy sweep, never-shed run).
-            # Views resolve once per unique survivor cid; the per-pair
-            # driver would probe the cache once per *occurrence*, and
-            # every repeat occurrence would hit (the version cannot move
-            # mid-phase), so the repeats fold into one synthetic tally.
+            # Vectorised segment assembly (never-shed run, numpy kernels;
+            # the scalar reference takes the generic loop below).
+            # Views resolve once per unique survivor cid; the logical
+            # count is one cache probe per *occurrence*, and every repeat
+            # occurrence would hit (the version cannot move mid-phase),
+            # so the repeats fold into one synthetic tally.
             n_pairs = int(survivor_l.size)
-            uniq = np_mod.unique(np_mod.concatenate((survivor_l, survivor_r)))
+            uniq = np.unique(np.concatenate((survivor_l, survivor_r)))
             for cid in uniq.tolist():
                 cl = get(cid)
                 view = view_get(cid)
@@ -761,12 +547,12 @@ class Scuba(StagedJoinOperator):
             # gathers.  Interleaved even/odd slots keep the canonical
             # emission order: per pair L→R then R→L, pairs in first-seen
             # sweep order.
-            has_obj, has_qry = state.soa.arrays(np_mod)[5:]
+            has_obj, has_qry = state.soa.arrays()[5:]
             il = survivor_l - state.soa.base
             ir = survivor_r - state.soa.base
-            slot_o = np_mod.empty(2 * n_pairs, dtype=np_mod.int64)
-            slot_q = np_mod.empty(2 * n_pairs, dtype=np_mod.int64)
-            valid = np_mod.empty(2 * n_pairs, dtype=bool)
+            slot_o = np.empty(2 * n_pairs, dtype=np.int64)
+            slot_q = np.empty(2 * n_pairs, dtype=np.int64)
+            valid = np.empty(2 * n_pairs, dtype=bool)
             slot_o[0::2] = survivor_l
             slot_q[0::2] = survivor_r
             valid[0::2] = has_obj[il] & has_qry[ir]
@@ -782,21 +568,21 @@ class Scuba(StagedJoinOperator):
             # loop + uniq loop), so the segment table indexes it directly.
             nseg = len(pending) + int(o_cids.size)
             if nseg:
-                scids = np_mod.asarray(
-                    [seg[0].cid for seg in pending], dtype=np_mod.int64
+                scids = np.asarray(
+                    [seg[0].cid for seg in pending], dtype=np.int64
                 )
-                all_cids = np_mod.unique(np_mod.concatenate((scids, uniq)))
+                all_cids = np.unique(np.concatenate((scids, uniq)))
                 view_table = [view_cache[cid] for cid in all_cids.tolist()]
-                self_pos = np_mod.searchsorted(all_cids, scids)
-                o_pos = np_mod.concatenate(
-                    (self_pos, np_mod.searchsorted(all_cids, o_cids))
+                self_pos = np.searchsorted(all_cids, scids)
+                o_pos = np.concatenate(
+                    (self_pos, np.searchsorted(all_cids, o_cids))
                 )
-                q_pos = np_mod.concatenate(
-                    (self_pos, np_mod.searchsorted(all_cids, q_cids))
+                q_pos = np.concatenate(
+                    (self_pos, np.searchsorted(all_cids, q_cids))
                 )
                 pending.clear()
                 self.join_segments += nseg
-                self.within_tests += backend.join_segments_indexed(
+                self.within_tests += join_indexed(
                     view_table, o_pos, q_pos, now, results
                 )
             self.view_cache_hits += view_hits
@@ -806,8 +592,7 @@ class Scuba(StagedJoinOperator):
         # pairs, so the (view, shed, column-presence) lookup resolves once
         # per cid and later occurrences are one dict probe.  A repeat
         # occurrence tallies a view-cache hit — after the first probe the
-        # view is cached and the version cannot move mid-phase, so the
-        # per-pair driver's per-occurrence probe would hit too.
+        # view is cached and the version cannot move mid-phase.
         resolved: Dict[int, Tuple[ClusterJoinView, bool, bool, bool]] = {}
         res_get = resolved.get
         for cid_l, cid_r in zip(survivor_l, survivor_r):
@@ -863,270 +648,6 @@ class Scuba(StagedJoinOperator):
         self.view_cache_hits += view_hits
         self.view_cache_misses += view_misses
 
-    # -- incremental sweep (config.incremental) -----------------------------------
-
-    def _refresh_sweep_marks(
-        self,
-    ) -> Tuple[Dict[int, Tuple[int, float, float]], Set[int]]:
-        """Snapshot every cluster's structural mark; classify clean vs dirty.
-
-        A cluster is *clean* when its mark — ``(struct_version, disp_x,
-        disp_y)`` — is unchanged since the previous sweep and it has no
-        shed members (shed answers depend on nucleus geometry the marks do
-        not cover).  Replacing the mark table wholesale also prunes marks
-        of dissolved clusters for free.
-        """
-        prev = self._sweep_marks
-        marks: Dict[int, Tuple[int, float, float]] = {}
-        clean: Set[int] = set()
-        for cluster in self.world.storage:
-            cid = cluster.cid
-            mark = (cluster.struct_version, cluster.disp_x, cluster.disp_y)
-            marks[cid] = mark
-            if cluster.shed_count == 0 and prev.get(cid) == mark:
-                clean.add(cid)
-        self._sweep_marks = marks
-        self.cluster_clean_hits += len(clean)
-        self.cluster_clean_misses += len(marks) - len(clean)
-        return marks, clean
-
-    def _compute_pair_fresh(
-        self,
-        pair: Tuple[int, int],
-        left: MovingCluster,
-        right: MovingCluster,
-        now: float,
-        results: List[QueryMatch],
-        marks: Dict[int, Tuple[int, float, float]],
-    ) -> None:
-        """Compute one pair with the kernels and memoize the answer.
-
-        Mirrors the full sweep's per-pair logic (between filter + cache,
-        then join-within), then records the verdict, the logical test count
-        and the matched ``(qid, oid)`` pairs under the clusters' current
-        structural marks.  Shed clusters are never memoized: their answers
-        depend on nucleus geometry the marks do not cover.
-        """
-        self.replay_misses += 1
-        verdict = True
-        if self.config.use_between_filter:
-            self.between_tests += 1
-            between_cache = self._between_cache
-            cached = between_cache.get(pair)
-            if (
-                cached is not None
-                and cached[0] == left.version
-                and cached[1] == right.version
-            ):
-                self.between_cache_hits += 1
-                verdict = cached[2]
-            else:
-                self.between_cache_misses += 1
-                verdict = join_between(left, right)
-                between_cache[pair] = (left.version, right.version, verdict)
-            if verdict:
-                self.between_hits += 1
-        start = len(results)
-        tests = 0
-        if verdict:
-            tests = join_within_pair(
-                self._view_of(left), self._view_of(right), now, results, self.kernels
-            )
-            self.within_tests += tests
-        if left.shed_count == 0 and right.shed_count == 0:
-            self._pair_memo[pair] = (
-                marks[pair[0]],
-                marks[pair[1]],
-                verdict,
-                tests,
-                tuple(m.pair for m in results[start:]),
-            )
-        else:
-            self._pair_memo.pop(pair, None)
-
-    def _joining_phase_incremental(
-        self, now: float, results: List[QueryMatch]
-    ) -> None:
-        """The delta-driven sweep: same visit order, replayed answers.
-
-        Self joins and the cell sweep run in exactly the full sweep's
-        order, so fresh computations interleave with replays exactly where
-        the full recompute would have produced the same matches.  Cells
-        whose membership is untouched (grid dirty set) and whose residents
-        are all clean replay their memoized pair list wholesale without
-        enumerating cluster combinations.
-
-        Pair replay requires both clusters structurally unchanged since
-        the memo *and* their displacement deltas to cancel exactly — then
-        every member position the kernels would see is bitwise identical
-        to the memoized run (memos are never recorded for shed clusters,
-        and a shed transition bumps ``struct_version``, so shed geometry
-        can never be replayed).  The memoized between verdict stays sound
-        even though maintenance may since have recentred or re-tightened
-        the clusters: the verdict was lossless with respect to the member
-        positions, and those are unchanged.  The replay counters are
-        kept in locals through the sweep (hot path) and flushed at the
-        end.
-        """
-        storage = self.world.storage
-        marks, clean = self._refresh_sweep_marks()
-        self_memo = self._self_memo
-        use_filter = self.config.use_between_filter
-        replay_hits = 0
-        replayed_tests = 0
-        replayed_between = 0
-        replayed_between_hits = 0
-
-        for cluster in storage.clusters():
-            if not cluster.is_mixed:
-                continue
-            cid = cluster.cid
-            memo = self_memo.get(cid)
-            if (
-                memo is not None
-                and memo[0] == cluster.struct_version
-                and cluster.shed_count == 0
-            ):
-                # A cluster co-moves with itself: rigid translation cannot
-                # change its self-join answer, so struct-clean suffices.
-                replay_hits += 1
-                replayed_tests += memo[1]
-                if memo[2]:
-                    results.extend(
-                        [QueryMatch(qid, oid, now) for qid, oid in memo[2]]
-                    )
-                continue
-            self.replay_misses += 1
-            start = len(results)
-            tests = join_within_self(
-                self._view_of(cluster), now, results, self.kernels
-            )
-            self.within_tests += tests
-            if cluster.shed_count == 0:
-                self_memo[cid] = (
-                    cluster.struct_version,
-                    tests,
-                    tuple(m.pair for m in results[start:]),
-                )
-            else:
-                self_memo.pop(cid, None)
-
-        seen_pairs = self._seen_pairs
-        seen_pairs.clear()
-        grid = self.world.grid
-        dirty_cells = grid.dirty_cells()
-        cell_pairs = self._cell_pairs
-        pair_memo = self._pair_memo
-        compute_fresh = self._compute_pair_fresh
-        clean_superset = clean.issuperset
-        for cell, members in grid.occupied_cells():
-            if len(members) < 2:
-                continue
-            cids = grid.sorted_members(cell)
-            if cell not in dirty_cells:
-                cached = cell_pairs.get(cell)
-                if cached is not None and clean_superset(cids):
-                    # Membership untouched and every resident clean: the
-                    # cached pair list is exactly what enumeration would
-                    # find, and every memo on it is valid.
-                    self.cell_replay_hits += 1
-                    for pair in cached:
-                        if pair in seen_pairs:
-                            continue
-                        seen_pairs.add(pair)
-                        memo = pair_memo.get(pair)
-                        if memo is not None:
-                            lm = marks.get(pair[0])
-                            rm = marks.get(pair[1])
-                            ml = memo[0]
-                            mr = memo[1]
-                            if (
-                                lm is not None
-                                and rm is not None
-                                and lm[0] == ml[0]
-                                and rm[0] == mr[0]
-                                and lm[1] - ml[1] == rm[1] - mr[1]
-                                and lm[2] - ml[2] == rm[2] - mr[2]
-                            ):
-                                replay_hits += 1
-                                replayed_tests += memo[3]
-                                if use_filter:
-                                    replayed_between += 1
-                                    if memo[2]:
-                                        replayed_between_hits += 1
-                                if memo[4]:
-                                    results.extend(
-                                        [
-                                            QueryMatch(qid, oid, now)
-                                            for qid, oid in memo[4]
-                                        ]
-                                    )
-                                continue
-                        compute_fresh(
-                            pair,
-                            storage.get(pair[0]),
-                            storage.get(pair[1]),
-                            now,
-                            results,
-                            marks,
-                        )
-                    continue
-            self.cell_replay_misses += 1
-            # Full enumeration; rebuild this cell's mixed-pair list.  Pairs
-            # already handled in an earlier cell are *not* listed here —
-            # the sweep's deterministic cell order makes the earlier cell
-            # replay them first next time too.
-            mixed_pairs: List[Tuple[int, int]] = []
-            for i, cid_l in enumerate(cids):
-                left = storage.get(cid_l)
-                for cid_r in cids[i + 1 :]:
-                    pair = (cid_l, cid_r)
-                    if pair in seen_pairs:
-                        continue
-                    seen_pairs.add(pair)
-                    right = storage.get(cid_r)
-                    if not (
-                        (left.objects and right.queries)
-                        or (left.queries and right.objects)
-                    ):
-                        continue
-                    mixed_pairs.append(pair)
-                    memo = pair_memo.get(pair)
-                    if memo is not None:
-                        lm = marks.get(cid_l)
-                        rm = marks.get(cid_r)
-                        ml = memo[0]
-                        mr = memo[1]
-                        if (
-                            lm is not None
-                            and rm is not None
-                            and lm[0] == ml[0]
-                            and rm[0] == mr[0]
-                            and lm[1] - ml[1] == rm[1] - mr[1]
-                            and lm[2] - ml[2] == rm[2] - mr[2]
-                        ):
-                            replay_hits += 1
-                            replayed_tests += memo[3]
-                            if use_filter:
-                                replayed_between += 1
-                                if memo[2]:
-                                    replayed_between_hits += 1
-                            if memo[4]:
-                                results.extend(
-                                    [
-                                        QueryMatch(qid, oid, now)
-                                        for qid, oid in memo[4]
-                                    ]
-                                )
-                            continue
-                    compute_fresh(pair, left, right, now, results, marks)
-            cell_pairs[cell] = tuple(mixed_pairs)
-        grid.clear_dirty()
-        self.replay_hits += replay_hits
-        self.within_tests += replayed_tests
-        self.between_tests += replayed_between
-        self.between_hits += replayed_between_hits
-
     def _post_join_maintenance(self, now: float) -> None:
         """Dissolve arrivals, advance survivors, refresh the grid."""
         cfg = self.config
@@ -1134,12 +655,6 @@ class Scuba(StagedJoinOperator):
             cutoff = now - cfg.stale_after
             self.evicted_stale += self.objects_table.evict_stale(cutoff)
             self.evicted_stale += self.queries_table.evict_stale(cutoff)
-        engine = self.maintenance_engine
-        if engine is not None:
-            # Columnar path: same per-cluster semantics, restructured into
-            # whole-world vectorized passes (see repro.columnar.engine).
-            engine.run(self, now)
-            return
         for cluster in list(self.world.storage):
             if cfg.expire_clusters and (
                 cluster.has_expired(now) or cluster.will_pass_destination(cfg.delta)
@@ -1181,50 +696,7 @@ class Scuba(StagedJoinOperator):
             dead = [cid for cid in view_cache if cid not in storage]
             for cid in dead:
                 del view_cache[cid]
-        self_memo = self._self_memo
-        if len(self_memo) > len(storage):
-            dead = [cid for cid in self_memo if cid not in storage]
-            for cid in dead:
-                del self_memo[cid]
-        # Pair-keyed caches have no cheap live-size reference, so the full
-        # scan only fires past a watermark that doubles beyond the live
-        # size after each prune: stable runs never scan, and memory stays
-        # within 2x of the live pair population.
-        self._between_watermark = self._prune_pair_cache(
-            self._between_cache, self._between_watermark
-        )
-        self._pair_memo_watermark = self._prune_pair_cache(
-            self._pair_memo, self._pair_memo_watermark
-        )
-        cell_pairs = self._cell_pairs
-        grid = self.world.grid
-        if len(cell_pairs) > 2 * grid.occupied_cell_count + 64:
-            vacant = [cell for cell in cell_pairs if not grid.members(cell)]
-            for cell in vacant:
-                del cell_pairs[cell]
-        state = self._batch_state
-        if state is not None:
-            state.prune(storage)
-
-    def _prune_pair_cache(
-        self, cache: Dict[Tuple[int, int], Any], watermark: int
-    ) -> int:
-        """Drop dead-cid entries from a pair-keyed cache past ``watermark``.
-
-        Returns the next watermark: twice the surviving size (floor 64),
-        so prune cost is amortised against actual growth.
-        """
-        if len(cache) <= watermark:
-            return watermark
-        storage = self.world.storage
-        dead_pairs = [
-            pair
-            for pair in cache
-            if pair[0] not in storage or pair[1] not in storage
-        ]
-        for pair in dead_pairs:
-            del cache[pair]
-        return max(64, 2 * len(cache))
+        self._batch_state.prune(storage)
 
     # -- introspection ---------------------------------------------------------------
 
@@ -1239,26 +711,12 @@ class Scuba(StagedJoinOperator):
 
     def join_counters(self) -> Dict[str, Any]:
         """Kernel/cache instrumentation folded into run statistics."""
-        kernel = self.ingest_kernel
         counters: Dict[str, Any] = {
             "kernel_backend": self.kernels.name,
-            "incremental": self.config.incremental,
             "batched_ingest": self.config.batched_ingest,
-            "batched_join": self.config.batched_join_active,
-            "columnar": self.config.columnar,
             "join_pairs_batched": self.join_pairs_batched,
             "join_segments": self.join_segments,
             "evicted_stale": self.evicted_stale,
-            "store_compactions": (
-                self.maintenance_engine.compactions
-                if self.maintenance_engine is not None
-                else 0
-            ),
-            "store_compaction_seconds": (
-                self.maintenance_engine.compaction_seconds
-                if self.maintenance_engine is not None
-                else 0.0
-            ),
             # Zeros when batching is off, so merged/reported stat shapes
             # do not depend on the flag.
             "fast_path_batched": 0,
@@ -1266,28 +724,14 @@ class Scuba(StagedJoinOperator):
             "grid_refresh_deduped": 0,
             "batch_fallbacks": 0,
             "grid_refresh_skips": self.world.grid.refresh_skips,
-        }
-        if kernel is not None:
-            counters["ingest_backend"] = kernel.name
-            counters.update(kernel.counters())
-        if self.maintenance_engine is not None:
-            counters["columnar_backend"] = self.maintenance_engine.resolved_name
-        counters.update(self._join_cache_counters())
-        return counters
-
-    def _join_cache_counters(self) -> Dict[str, Any]:
-        return {
             "view_cache_hits": self.view_cache_hits,
             "view_cache_misses": self.view_cache_misses,
             "between_cache_hits": self.between_cache_hits,
             "between_cache_misses": self.between_cache_misses,
-            "replay_hits": self.replay_hits,
-            "replay_misses": self.replay_misses,
-            "cell_replay_hits": self.cell_replay_hits,
-            "cell_replay_misses": self.cell_replay_misses,
-            "cluster_clean_hits": self.cluster_clean_hits,
-            "cluster_clean_misses": self.cluster_clean_misses,
         }
+        if self.ingest_kernel is not None:
+            counters.update(self.ingest_kernel.counters())
+        return counters
 
     def state_roots(self) -> List[object]:
         """The five in-memory structures of §4.1 (for memory accounting)."""
@@ -1310,22 +754,10 @@ class Scuba(StagedJoinOperator):
 
         Views hold backend scratch data (ndarray mirrors, sort
         permutations) that must not cross process boundaries; the backend
-        itself is re-resolved from config on the other side, so a shard
-        shipped to a worker without NumPy degrades gracefully.
+        and the ingest kernel are rebuilt from config on the other side.
         """
         state = self.__dict__.copy()
-        for transient in (
-            "kernels",
-            "ingest_kernel",
-            "_view_cache",
-            "_between_cache",
-            "_seen_pairs",
-            "_pair_memo",
-            "_self_memo",
-            "_sweep_marks",
-            "_cell_pairs",
-            "_batch_state",
-        ):
+        for transient in ("kernels", "ingest_kernel", "_view_cache", "_batch_state"):
             state.pop(transient, None)
         return state
 
@@ -1333,22 +765,10 @@ class Scuba(StagedJoinOperator):
         self.__dict__.update(state)
         self.kernels = resolve_backend(self.config.kernel_backend)
         self.ingest_kernel = (
-            make_ingest_kernel(self.config.kernel_backend)
-            if self.config.batched_ingest
-            else None
+            NumpyIngestKernel() if self.config.batched_ingest else None
         )
         self._view_cache = {}
-        self._between_cache = {}
-        self._seen_pairs = set()
-        # Empty memos and an empty mark table make the first post-unpickle
-        # sweep a plain full recompute; replay resumes from there.
-        self._pair_memo = {}
-        self._self_memo = {}
-        self._sweep_marks = {}
-        self._cell_pairs = {}
-        # Rebuilt lazily so the numpy-vs-stdlib sweep path is resolved in
-        # the receiving process, not the one that pickled us.
-        self._batch_state = None
+        self._batch_state = BatchJoinState()
 
     def __repr__(self) -> str:
         return (

@@ -288,9 +288,8 @@ def _offline_kmeans_run(
         for cluster in clusters:
             operator.world.storage.add(cluster)
             operator.world.grid.register(cluster)
-        matches: List = []
         started = time.perf_counter()
-        operator._joining_phase(now, matches)
+        operator.join_phase(now)
         join_seconds += time.perf_counter() - started
     return clustering_seconds, join_seconds
 

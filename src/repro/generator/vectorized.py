@@ -2,8 +2,8 @@
 
 The scalar generator advances each :class:`MovingEntity` with a Python
 loop; at 10k entities that loop *is* the generate stage.  This core keeps
-the population's motion state as columns (numpy ``float64`` arrays, plain
-lists without numpy) and advances every entity per tick with a handful of
+the population's motion state as numpy ``float64`` columns and advances
+every entity per tick with a handful of
 array operations, delegating to the scalar entity only at the infrequent
 moments the scalar path itself treats specially — node crossings, where
 routes pop, plans replan, and speeds change.
@@ -39,15 +39,12 @@ resume paths rebuild them) is always observed on the next tick.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
+
+import numpy as np
 
 from .batch import TickBatch
 from .records import EntityKind
-
-try:  # pragma: no cover - exercised via both CI variants
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["VectorTickCore"]
 
@@ -55,10 +52,9 @@ __all__ = ["VectorTickCore"]
 class VectorTickCore:
     """Column-resident motion state for a generator's whole population."""
 
-    def __init__(self, generator, numpy_module=_np) -> None:
+    def __init__(self, generator) -> None:
         self.generator = generator
         self.network = generator.network
-        self.np = numpy_module
         self._dirty = True
         # Static columns (population membership never changes post-build).
         entities = generator._entities
@@ -69,13 +65,8 @@ class VectorTickCore:
             (eid << 1) | 1 if is_obj else eid << 1
             for eid, is_obj in zip(self.ids, self.kinds)
         ]
-        ws = [e.range_width for e in entities]
-        hs = [e.range_height for e in entities]
-        if self.np is not None:
-            ws = self.np.asarray(ws, dtype=self.np.float64)
-            hs = self.np.asarray(hs, dtype=self.np.float64)
-        self.ws = ws
-        self.hs = hs
+        self.ws = np.asarray([e.range_width for e in entities], dtype=np.float64)
+        self.hs = np.asarray([e.range_height for e in entities], dtype=np.float64)
         # Dynamic columns, built on first use.
         self.offsets = None
         self.lengths = None
@@ -129,29 +120,17 @@ class VectorTickCore:
             cn_xs[i] = end.x
             cn_ys[i] = end.y
             cn_points[i] = end
-        np = self.np
-        if np is not None:
-            f64 = np.float64
-            offsets = np.asarray(offsets, dtype=f64)
-            lengths = np.asarray(lengths, dtype=f64)
-            sxs = np.asarray(sxs, dtype=f64)
-            sys_ = np.asarray(sys_, dtype=f64)
-            dxs = np.asarray(dxs, dtype=f64)
-            dys = np.asarray(dys, dtype=f64)
-            speeds = np.asarray(speeds, dtype=f64)
-            dists = np.asarray(dists, dtype=f64)
-            cn_xs = np.asarray(cn_xs, dtype=f64)
-            cn_ys = np.asarray(cn_ys, dtype=f64)
-        self.offsets = offsets
-        self.lengths = lengths
-        self.sxs = sxs
-        self.sys_ = sys_
-        self.dxs = dxs
-        self.dys = dys
-        self.speeds = speeds
-        self.dists = dists
-        self.cn_xs = cn_xs
-        self.cn_ys = cn_ys
+        f64 = np.float64
+        self.offsets = np.asarray(offsets, dtype=f64)
+        self.lengths = np.asarray(lengths, dtype=f64)
+        self.sxs = np.asarray(sxs, dtype=f64)
+        self.sys_ = np.asarray(sys_, dtype=f64)
+        self.dxs = np.asarray(dxs, dtype=f64)
+        self.dys = np.asarray(dys, dtype=f64)
+        self.speeds = np.asarray(speeds, dtype=f64)
+        self.dists = np.asarray(dists, dtype=f64)
+        self.cn_xs = np.asarray(cn_xs, dtype=f64)
+        self.cn_ys = np.asarray(cn_ys, dtype=f64)
         self._dirty = False
 
     def _load_row(self, i: int, e) -> None:
@@ -184,11 +163,8 @@ class VectorTickCore:
         """
         if self._dirty or self.offsets is None:
             return
-        offsets = self.offsets
-        dists = self.dists
-        if self.np is not None:
-            offsets = offsets.tolist()
-            dists = dists.tolist()
+        offsets = self.offsets.tolist()
+        dists = self.dists.tolist()
         for i, e in enumerate(self.generator._entities):
             e.position.offset = offsets[i]
             e.distance_travelled = dists[i]
@@ -199,13 +175,6 @@ class VectorTickCore:
         """Advance the whole population by ``dt`` (scalar-exact)."""
         if self._dirty:
             self._reload()
-        if self.np is not None:
-            self._advance_numpy(dt)
-        else:
-            self._advance_python(dt)
-
-    def _advance_numpy(self, dt: float) -> None:
-        np = self.np
         offsets = self.offsets
         dists = self.dists
         step = self.speeds * dt
@@ -226,46 +195,15 @@ class VectorTickCore:
             offsets += step
             dists += step
 
-    def _advance_python(self, dt: float) -> None:
-        offsets = self.offsets
-        lengths = self.lengths
-        speeds = self.speeds
-        dists = self.dists
-        entities = self.generator._entities
-        network = self.network
-        for i in range(self.n):
-            step = speeds[i] * dt
-            if step < lengths[i] - offsets[i]:
-                offsets[i] += step
-                dists[i] += step
-            else:
-                e = entities[i]
-                e.position.offset = offsets[i]
-                e.distance_travelled = dists[i]
-                e.advance(dt, network)
-                self._load_row(i, e)
-
     # -- emission ------------------------------------------------------------
 
     def _positions(self):
         """Interpolated (xs, ys) for the whole population."""
-        if self.np is not None:
-            np = self.np
-            tt = self.offsets / self.lengths
-            np.maximum(tt, 0.0, out=tt)
-            np.minimum(tt, 1.0, out=tt)
-            xs = self.sxs + self.dxs * tt
-            ys = self.sys_ + self.dys * tt
-            return xs, ys
-        xs = [0.0] * self.n
-        ys = [0.0] * self.n
-        offsets = self.offsets
-        lengths = self.lengths
-        sxs, sys_, dxs, dys = self.sxs, self.sys_, self.dxs, self.dys
-        for i in range(self.n):
-            tt = min(max(offsets[i] / lengths[i], 0.0), 1.0)
-            xs[i] = sxs[i] + dxs[i] * tt
-            ys[i] = sys_[i] + dys[i] * tt
+        tt = self.offsets / self.lengths
+        np.maximum(tt, 0.0, out=tt)
+        np.minimum(tt, 1.0, out=tt)
+        xs = self.sxs + self.dxs * tt
+        ys = self.sys_ + self.dys * tt
         return xs, ys
 
     def emit_all(self, t: float) -> TickBatch:
@@ -273,25 +211,16 @@ class VectorTickCore:
         if self._dirty:
             self._reload()
         xs, ys = self._positions()
-        np = self.np
-        if np is not None:
-            speeds = self.speeds.copy()
-            cn_xs = self.cn_xs.copy()
-            cn_ys = self.cn_ys.copy()
-        else:
-            speeds = list(self.speeds)
-            cn_xs = list(self.cn_xs)
-            cn_ys = list(self.cn_ys)
         return TickBatch(
             t,
             self.ids,
             self.kinds,
             xs,
             ys,
-            speeds,
+            self.speeds.copy(),
             list(self.cns),
-            cn_xs,
-            cn_ys,
+            self.cn_xs.copy(),
+            self.cn_ys.copy(),
             self.ws,
             self.hs,
             cn_points=list(self.cn_points),

@@ -44,12 +44,6 @@ class SpatialGrid:
         # the join sweep visits every occupied cell every Δ, but most cell
         # populations are stable between sweeps, so the sort is amortised.
         self._sorted_cache: Dict[CellKey, Tuple[Hashable, ...]] = {}
-        # Dirty-cell tracking for the incremental join sweep: cells whose
-        # membership changed since the last clear_dirty().  Off by default —
-        # non-incremental consumers never clear the set, so tracking would
-        # only accumulate garbage.
-        self._track_dirty = False
-        self._dirty_cells: Set[CellKey] = set()
 
     # -- geometry → cells ---------------------------------------------------
 
@@ -139,8 +133,6 @@ class SpatialGrid:
                 continue
             bucket.add(key)
             self._sorted_cache.pop(cell, None)
-            if self._track_dirty:
-                self._dirty_cells.add(cell)
 
     def remove(self, key: Hashable, cells: Iterable[CellKey]) -> None:
         """Unregister ``key`` from every cell of ``cells``.
@@ -154,8 +146,6 @@ class SpatialGrid:
                 continue
             bucket.discard(key)
             self._sorted_cache.pop(cell, None)
-            if self._track_dirty:
-                self._dirty_cells.add(cell)
             if not bucket:
                 del self._cells[cell]
 
@@ -195,27 +185,14 @@ class SpatialGrid:
         for cell in sorted(self._cells):
             yield cell, self._cells[cell]
 
-    def sweep_cells(self) -> Iterator[Tuple[Hashable, ...]]:
-        """Sorted member tuples of every multi-member cell, in flat order.
-
-        The pair-enumeration feed of the join sweep: exactly the cells and
-        member order :meth:`occupied_cells` + :meth:`sorted_members`
-        produce, minus the single-member cells no pair can come from and
-        the per-cell dict probes of the two-call protocol.
-        """
-        cells = self._cells
-        sorted_members = self.sorted_members
-        for cell in sorted(cells):
-            if len(cells[cell]) >= 2:
-                yield sorted_members(cell)
-
     def sweep_buckets(self) -> Iterator[Set[Hashable]]:
         """Raw member sets of every multi-member cell, in flat order.
 
-        The unsorted sibling of :meth:`sweep_cells` for consumers that
-        normalise member order themselves (the vectorised pair sweep
-        row-sorts whole cell batches in one ndarray operation): same
-        cells, same visit order, no per-cell sort or tuple cache.  The
+        The pair-enumeration feed of the join sweep: the cells
+        :meth:`occupied_cells` visits, minus the single-member cells no
+        pair can come from.  Member order is left to the consumer (the
+        pair sweep row-sorts whole cell batches in one ndarray
+        operation), so there is no per-cell sort or tuple cache.  The
         yielded sets are the live buckets — do not mutate them.
         """
         cells = self._cells
@@ -224,38 +201,9 @@ class SpatialGrid:
             if len(bucket) >= 2:
                 yield bucket
 
-    # -- dirty-cell tracking -------------------------------------------------
-
-    def enable_dirty_tracking(self) -> None:
-        """Start recording membership-dirty cells (incremental sweep).
-
-        From this point every :meth:`insert`/:meth:`remove` that actually
-        changes a cell's membership marks the cell dirty until the consumer
-        calls :meth:`clear_dirty`.  Enabling mid-flight is safe only if the
-        consumer treats *every* cell as dirty on its first sweep (the
-        incremental operator does: it has no memos yet).
-        """
-        self._track_dirty = True
-
-    @property
-    def dirty_tracking_enabled(self) -> bool:
-        return self._track_dirty
-
-    def dirty_cells(self) -> Set[CellKey]:
-        """Cells whose membership changed since the last :meth:`clear_dirty`.
-
-        The returned set is live — consumers must not mutate it; call
-        :meth:`clear_dirty` when the sweep has consumed it.
-        """
-        return self._dirty_cells
-
-    def clear_dirty(self) -> None:
-        self._dirty_cells.clear()
-
     def clear(self) -> None:
         self._cells.clear()
         self._sorted_cache.clear()
-        self._dirty_cells.clear()
 
     @property
     def occupied_cell_count(self) -> int:

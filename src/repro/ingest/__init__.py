@@ -1,66 +1,30 @@
 """Batched columnar ingest: the vectorised cluster-maintenance fast path.
 
 The ingest stage counterpart of :mod:`repro.kernels`: one
-:class:`UpdateBatch` per evaluation tick, plus pluggable ingest kernels
-that bulk-process the steady-state fast path per cluster group instead of
-per update (see :mod:`repro.ingest.base` for the exactness contract):
+:class:`UpdateBatch` per evaluation tick, bulk-processing the steady-state
+fast path per cluster group instead of per update (see
+:mod:`repro.ingest.base` for the exactness contract).
+``ScubaConfig(batched_ingest=True)`` installs a
+:class:`NumpyIngestKernel`; off (the default), the operator runs its
+per-update ``on_update`` loop.  Small groups classify through the
+plain-Python :class:`PythonBatchIngestKernel` code the numpy kernel
+inherits — selected by group size, not by configuration.
 
-* ``scalar`` — the per-update ``on_update`` loop, kept as the semantics
-  oracle and benchmark baseline;
-* ``python`` — stdlib-only batched grouping/classification/commit;
-* ``numpy`` — the same driver with array-at-a-time group admission
-  tests, available with the ``perf`` extra.
-
-Backend names are shared with the join-kernel registry
-(``ScubaConfig.kernel_backend`` selects both); ``auto`` prefers numpy and
-degrades to python.  Unlike join-kernel backends — stateless and shared —
-ingest kernels carry per-operator counters and view caches, so
-:func:`make_ingest_kernel` returns a fresh instance per call.
+Unlike join-kernel backends — stateless and shared — ingest kernels carry
+per-operator counters and view caches, so every operator owns a fresh
+instance.
 """
 
 from __future__ import annotations
 
-from ..kernels import BACKEND_CHOICES, numpy_available
-from .base import (
-    IngestKernel,
-    IngestView,
-    PythonBatchIngestKernel,
-    ScalarIngestKernel,
-)
+from .base import IngestKernel, IngestView, PythonBatchIngestKernel
 from .batch import UpdateBatch
+from .numpy_kernel import NumpyIngestKernel
 
 __all__ = [
-    "INGEST_BACKEND_CHOICES",
     "IngestKernel",
     "IngestView",
+    "NumpyIngestKernel",
     "PythonBatchIngestKernel",
-    "ScalarIngestKernel",
     "UpdateBatch",
-    "make_ingest_kernel",
 ]
-
-#: Ingest kernel names accepted by configs and the CLI — the same
-#: vocabulary as the join-kernel registry.
-INGEST_BACKEND_CHOICES = BACKEND_CHOICES
-
-
-def make_ingest_kernel(name: str = "auto") -> IngestKernel:
-    """A fresh ingest kernel for ``name``.
-
-    ``auto`` prefers numpy and silently degrades to the pure-Python
-    batched kernel; asking for ``numpy`` explicitly raises when it is
-    missing, mirroring :func:`repro.kernels.resolve_backend`.
-    """
-    if name == "auto":
-        name = "numpy" if numpy_available() else "python"
-    if name == "python":
-        return PythonBatchIngestKernel()
-    if name == "scalar":
-        return ScalarIngestKernel()
-    if name == "numpy":
-        from .numpy_kernel import NumpyIngestKernel
-
-        return NumpyIngestKernel()
-    raise ValueError(
-        f"unknown ingest backend {name!r} (choose one of {INGEST_BACKEND_CHOICES})"
-    )

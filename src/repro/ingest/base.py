@@ -1,6 +1,6 @@
 """Ingest kernels: batched cluster-maintenance for the pre-join phase.
 
-After the join side was sharded, kernelized and made incremental, the
+After the join side was sharded and kernelized, the
 per-update scalar ingest chain (``IncrementalClusterer.ingest`` →
 ``advance_to`` → ``_qualifies`` → ``absorb`` → ``grid.refresh``; five
 Python calls plus dict traffic per location update) dominates interval
@@ -17,8 +17,7 @@ fast path per *cluster group* instead of per update:
    one pass against a cached member snapshot (:class:`IngestView`);
 4. bulk-commit qualifying groups: heartbeat members get their ``last_t``
    stamped, refreshed members get their position/translation fields
-   rewritten, and the cluster takes a *single* aggregated
-   version/struct-version bump;
+   rewritten, and the cluster takes a *single* aggregated version bump;
 5. dedupe ``ClusterGrid.refresh`` to one call per group per tick.
 
 **Exactness contract.**  The batched path must leave cluster state,
@@ -79,7 +78,6 @@ _OBJECT = EntityKind.OBJECT
 
 __all__ = [
     "IngestKernel",
-    "ScalarIngestKernel",
     "PythonBatchIngestKernel",
     "IngestView",
 ]
@@ -106,25 +104,6 @@ class IngestView:
 
     def __init__(self, cluster: Any, spec: Any) -> None:
         self.version: int = cluster.version
-        columns = getattr(cluster, "ingest_view_columns", None)
-        data = columns() if columns is not None else None
-        if data is not None:
-            # Columnar cluster: speed/cn/shed columns are zero-copy array
-            # slices and the reconstructed positions one vectorized
-            # expression (same ``abs + (trans − tr)`` op order, so
-            # bit-identical to the scalar loop below).
-            (
-                self.rows,
-                self.members,
-                self.speeds,
-                self.recon_x,
-                self.recon_y,
-                self.cns,
-                self.sheds,
-            ) = data
-            self.hb_ok = None
-            self._np_tables = None
-            return
         rows: Dict[int, int] = {}
         members: List[Any] = []
         speeds: List[float] = []
@@ -205,8 +184,6 @@ class IngestView:
             keys = np.fromiter(self.rows.keys(), dtype=np.int64, count=n)
             rows = np.fromiter(self.rows.values(), dtype=np.int64, count=n)
             order = np.argsort(keys, kind="stable")
-            # asarray is a no-copy passthrough when a column is already an
-            # ndarray of the right dtype (the columnar fast path).
             tables = (
                 keys[order],
                 rows[order],
@@ -225,12 +202,9 @@ class IngestKernel:
     """Delivers one tick's updates to a SCUBA operator.
 
     Instances are stateful (per-operator counters and view caches), so
-    :func:`~repro.ingest.make_ingest_kernel` returns a fresh kernel per
-    call — unlike the shared join-kernel backend instances.
+    every operator owns a fresh kernel — unlike the shared join-kernel
+    backend instances.
     """
-
-    #: Backend name (mirrors the join-kernel registry's naming).
-    name = "abstract"
 
     def __init__(self) -> None:
         #: Updates committed through the batched fast path.
@@ -257,21 +231,8 @@ class IngestKernel:
         }
 
 
-class ScalarIngestKernel(IngestKernel):
-    """The reference path: per-update ``on_update``, no batching at all."""
-
-    name = "scalar"
-
-    def run(self, operator: Any, updates: Sequence[Update]) -> None:
-        on_update = operator.on_update
-        for update in updates:
-            on_update(update)
-
-
 class PythonBatchIngestKernel(IngestKernel):
     """Stdlib-only batched ingest (group admission in plain Python)."""
-
-    name = "python"
 
     #: Home groups below this size take the scalar path — a one-member
     #: "group" dedupes nothing and the plan bookkeeping would be pure
@@ -827,7 +788,6 @@ class PythonBatchIngestKernel(IngestKernel):
             # One aggregated bump in place of ``refreshed`` sequential
             # ones: same final counter values, same cache invalidation.
             cluster.version += refreshed
-            cluster.struct_version += refreshed
         group = len(rows)
         self.fast_path_batched += group
         self.bulk_absorbs += refreshed

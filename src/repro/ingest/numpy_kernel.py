@@ -36,8 +36,6 @@ __all__ = ["NumpyIngestKernel"]
 class NumpyIngestKernel(PythonBatchIngestKernel):
     """Batched ingest with array-at-a-time group admission tests."""
 
-    name = "numpy"
-
     #: Groups smaller than this classify through the python kernel.
     #: Array set-up (the lazy tick-wide column build plus per-group
     #: gathers) is a fixed cost the heartbeat-heavy steady state never

@@ -5,87 +5,49 @@ are the system's hottest code; this package isolates them behind
 :class:`~repro.kernels.base.JoinKernelBackend` so they can be swapped as a
 unit:
 
+* ``numpy`` — vectorised kernels, the default.  Below its vectorisation
+  thresholds it falls through to :class:`PythonBatchBackend` (sorted-slab
+  pruning in plain Python) and from there to the scalar loops — selected
+  by input size, never by configuration;
 * ``scalar`` — the original tuple-at-a-time loops, kept as the semantics
-  oracle and the benchmark baseline;
-* ``python`` — stdlib-only batched kernels (sorted-slab pruning plus
-  comprehension-shaped inner loops); the default;
-* ``numpy`` — vectorised kernels, available when the ``perf`` extra
-  (``pip install repro[perf]``) is installed.
+  oracle ``tests/test_kernels_property.py`` compares the others against.
 
-``auto`` resolves to ``numpy`` when importable, else ``python``.  All
-backends produce identical :class:`~repro.streams.QueryMatch` multisets
-and logical test counts — pinned by ``tests/test_kernels_property.py`` —
-so picking a backend is purely a performance decision
+Both produce identical :class:`~repro.streams.QueryMatch` multisets and
+logical test counts, so picking one is purely a performance decision
 (``ScubaConfig.kernel_backend`` / ``RegularConfig.kernel_backend`` /
 CLI ``--kernel-backend``).
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from .base import JoinKernelBackend, PointBatch, rect_point_gap_sq
 from .batched import PythonBatchBackend
+from .numpy_backend import NumpyBackend
 from .scalar import ScalarBackend
 
 __all__ = [
+    "BACKEND_CHOICES",
     "JoinKernelBackend",
+    "NumpyBackend",
     "PointBatch",
     "PythonBatchBackend",
     "ScalarBackend",
-    "available_backends",
-    "numpy_available",
     "rect_point_gap_sq",
     "resolve_backend",
 ]
 
+#: Backends are stateless, so one shared instance per name.
+_BACKENDS = {"numpy": NumpyBackend(), "scalar": ScalarBackend()}
+
 #: Backend names accepted by configs and the CLI.
-BACKEND_CHOICES = ("auto", "python", "numpy", "scalar")
-
-_instances = {}
+BACKEND_CHOICES = tuple(_BACKENDS)
 
 
-def numpy_available() -> bool:
-    """True when the numpy backend can be constructed in this process."""
+def resolve_backend(name: str = "numpy") -> JoinKernelBackend:
+    """The shared backend instance for ``name``."""
     try:
-        from . import numpy_backend  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def available_backends() -> List[str]:
-    """Concrete backend names usable in this process (no ``auto``)."""
-    names = ["python", "scalar"]
-    if numpy_available():
-        names.insert(0, "numpy")
-    return names
-
-
-def resolve_backend(name: str = "auto") -> JoinKernelBackend:
-    """The backend instance for ``name`` (one shared instance per name).
-
-    ``auto`` prefers numpy and silently degrades to the pure-Python batched
-    backend when numpy is not installed; asking for ``numpy`` explicitly
-    raises if it is missing, so a mis-provisioned deployment fails loudly
-    rather than silently running slower.
-    """
-    if name == "auto":
-        name = "numpy" if numpy_available() else "python"
-    backend = _instances.get(name)
-    if backend is not None:
-        return backend
-    if name == "python":
-        backend = PythonBatchBackend()
-    elif name == "scalar":
-        backend = ScalarBackend()
-    elif name == "numpy":
-        from .numpy_backend import NumpyBackend
-
-        backend = NumpyBackend()
-    else:
+        return _BACKENDS[name]
+    except KeyError:
         raise ValueError(
             f"unknown kernel backend {name!r} (choose one of {BACKEND_CHOICES})"
-        )
-    _instances[name] = backend
-    return backend
+        ) from None

@@ -29,7 +29,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Sequence, Tuple
 
-from ..geometry import circles_overlap
 from ..streams import QueryMatch
 
 __all__ = ["JoinKernelBackend", "PointBatch", "rect_point_gap_sq"]
@@ -70,7 +69,7 @@ class JoinKernelBackend(abc.ABC):
     matches to ``out`` and returns its logical test count.
     """
 
-    #: Registry/CLI name (``scalar``, ``python``, ``numpy``).
+    #: Registry/CLI name (``numpy``, ``scalar``).
     name = "abstract"
 
     # -- join-within predicate cases ----------------------------------------
@@ -93,24 +92,6 @@ class JoinKernelBackend(abc.ABC):
         """Shed objects × shed query groups: the two nuclei within reach."""
 
     # -- macro-batched sweep kernels -----------------------------------------
-
-    def pairs_between(
-        self, lxs, lys, lrads, lqs, rxs, rys, rrads, rqs
-    ) -> Sequence[bool]:
-        """Batched join-between: one lossless overlap verdict per pair.
-
-        Columns are parallel per candidate cluster pair: left/right
-        centroid x/y, radius and widest query half-diagonal.  Each verdict
-        must equal ``join_between`` on the pair's clusters — the left
-        radius inflated by the larger of the two query half-diagonals.
-        The default is the scalar loop; array backends vectorize it.
-        """
-        return [
-            circles_overlap(ax, ay, ar + (aq if aq >= bq else bq), bx, by, br)
-            for ax, ay, ar, aq, bx, by, br, bq in zip(
-                lxs, lys, lrads, lqs, rxs, rys, rrads, rqs
-            )
-        ]
 
     def join_segments(
         self,
@@ -154,9 +135,8 @@ class JoinKernelBackend(abc.ABC):
 
     def __reduce__(self):
         # Backends are stateless: pickling re-resolves by name, so shard
-        # operators built from a pickled factory get a backend valid in the
-        # receiving process (e.g. numpy present locally but not remotely
-        # resolves cleanly as long as the config said "auto").
+        # operators built from a pickled factory share the receiving
+        # process's instance.
         from . import resolve_backend
 
         return (resolve_backend, (self.name,))

@@ -1,4 +1,8 @@
-"""Pure-Python batched kernels (stdlib only) — the default backend.
+"""Pure-Python batched kernels — :class:`NumpyBackend`'s small-input path.
+
+Not selectable by configuration: the numpy backend delegates here below
+its vectorisation thresholds, and this class in turn delegates to the
+scalar loops below its own.
 
 Two levers distinguish this from the scalar reference:
 

@@ -1,4 +1,4 @@
-"""NumPy join kernels (the optional ``perf`` extra).
+"""NumPy join kernels — the default backend.
 
 Vectorises the two member-loop-heavy predicate cases — exact×exact and
 exact×shed — into array expressions; the two shed-object cases are one
@@ -10,11 +10,6 @@ Matched ids are converted back to built-in ``int`` before
 :class:`~repro.streams.QueryMatch` construction: downstream code hashes,
 compares and JSON-serialises match ids, and must never see a stray
 ``np.int64``.
-
-This module imports ``numpy`` at module load; importing it without numpy
-installed raises ``ImportError``.  Always go through
-:func:`repro.kernels.resolve_backend`, which degrades ``auto`` to the
-pure-Python backend when the import fails.
 """
 
 from __future__ import annotations
@@ -47,29 +42,16 @@ _SEGMENT_CHUNK = 1 << 20
 
 
 def _fused_column(parts, dtype):
-    """One array from per-view column ``parts`` (lists and/or ndarrays).
+    """One array from per-view column ``parts``.
 
-    Consecutive list parts are fused through a single ``asarray`` — for
-    object-mode views (plain Python columns) the whole fuse is one C-speed
+    View columns are plain Python lists, so the whole fuse is one C-speed
     ``extend`` sweep plus one conversion, instead of one tiny ndarray per
-    view fed to ``concatenate``.  ndarray parts (zero-copy columnar views)
-    pass through unconverted.
+    view fed to ``concatenate``.
     """
-    chunks = []
     buf: list = []
     for part in parts:
-        if type(part) is list:
-            buf.extend(part)
-        else:
-            if buf:
-                chunks.append(np.asarray(buf, dtype=dtype))
-                buf = []
-            chunks.append(part)
-    if buf or not chunks:
-        chunks.append(np.asarray(buf, dtype=dtype))
-    if len(chunks) == 1:
-        return np.asarray(chunks[0], dtype=dtype)
-    return np.concatenate(chunks, dtype=dtype)
+        buf.extend(part)
+    return np.asarray(buf, dtype=dtype)
 
 
 def _object_arrays(view):
@@ -110,23 +92,6 @@ class NumpyBackend(PythonBatchBackend):
     below the vectorisation threshold, scalar group tests."""
 
     name = "numpy"
-
-    def pairs_between(self, lxs, lys, lrads, lqs, rxs, rys, rrads, rqs):
-        lxs = np.asarray(lxs, dtype=np.float64)
-        lys = np.asarray(lys, dtype=np.float64)
-        lrads = np.asarray(lrads, dtype=np.float64)
-        lqs = np.asarray(lqs, dtype=np.float64)
-        rxs = np.asarray(rxs, dtype=np.float64)
-        rys = np.asarray(rys, dtype=np.float64)
-        rrads = np.asarray(rrads, dtype=np.float64)
-        rqs = np.asarray(rqs, dtype=np.float64)
-        # Same float association as the scalar join_between:
-        # (radius + bonus) + right_radius, then dx*dx + dy*dy.
-        ar = lrads + np.maximum(lqs, rqs)
-        dx = lxs - rxs
-        dy = lys - rys
-        reach = ar + rrads
-        return dx * dx + dy * dy <= reach * reach
 
     def join_segments(self, segments, now: float, out: List[QueryMatch]) -> int:
         nseg = len(segments)

@@ -643,8 +643,7 @@ class ShardedEngine:
         The migration rides the existing routing protocol: for every
         entity whose placement changed, its state is exported from the
         *old owner* shard as a replayable update (``export_entity_updates``
-        on the operator — object-backed and columnar storage export
-        identically), delivered to every shard that gained the entity, and
+        on the operator), delivered to every shard that gained the entity, and
         a :class:`Retract` is sent to every shard that lost it.  Stale
         report times are safe to replay: cluster ``advance_to`` is guarded
         against moving backwards, and grid operators re-hash positions

@@ -28,7 +28,7 @@ from ..__main__ import build_parser, make_operator, make_shard_factory
 from ..generator import GeneratorConfig
 from ..streams import EngineConfig, StreamEngine
 from .backpressure import OVERLOAD_POLICIES, BackpressureConfig
-from .checkpoint import load_snapshot
+from .checkpoint import SnapshotError, load_snapshot
 from .service import EvaluationService, QueuedTickSource, ServeConfig
 from .sinks import IntervalBufferSink, JsonlEmitter, SocketEmitter
 from .sources import build_source, generator_spec
@@ -151,7 +151,10 @@ def _build_resumed(args, sink):
     plan, clocking, source recipe); the command line only supplies things
     a restart may legitimately change, like the socket listen address.
     """
-    envelope = load_snapshot(args.resume)
+    try:
+        envelope = load_snapshot(args.resume)
+    except SnapshotError as exc:
+        raise SystemExit(f"--resume: {exc}") from None
     manifest = envelope["engine"]
     engine_config = manifest["engine_config"]
     cursor = envelope["cursor"]

@@ -5,7 +5,7 @@ continue mid-stream: the engine state (operator/cluster/grid/shedder
 state, per shard when sharded), the pipeline clock and run accounting,
 the source rebuild recipe plus its tick cursor, and the service's own
 backpressure counters.  The payload is wrapped in a versioned envelope —
-``{"format": "scuba-snapshot", "version": 1, ...}`` — so a reader can
+``{"format": "scuba-snapshot", "version": 2, ...}`` — so a reader can
 reject foreign or future files instead of unpickling garbage semantics.
 
 Writes are atomic (temp file + ``os.replace``): a crash mid-checkpoint
@@ -36,7 +36,10 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "scuba-snapshot"
-SNAPSHOT_VERSION = 1
+#: 2: the envelope's operators pickle object-backed clusters only and
+#: ``ScubaConfig`` has no storage/join-driver fields (version 1 could
+#: carry both).
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -70,7 +73,14 @@ def load_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
     try:
         with path.open("rb") as fh:
             envelope = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+    except (
+        OSError,
+        pickle.UnpicklingError,
+        EOFError,
+        # A class the payload names no longer exists in this build.
+        ImportError,
+        AttributeError,
+    ) as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     if not isinstance(envelope, dict) or envelope.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError(f"{path} is not a {SNAPSHOT_FORMAT} file")
@@ -117,10 +127,7 @@ def _cluster_record(cluster) -> tuple:
         cluster.created_at,
         cluster.trans_x,
         cluster.trans_y,
-        cluster.disp_x,
-        cluster.disp_y,
         cluster.version,
-        cluster.struct_version,
         cluster.nucleus_radius,
         cluster.shed_count,
         cluster.last_moved,

@@ -61,9 +61,6 @@ class SheddingPolicy:
                 member.position_shed = True
                 cluster.shed_count += 1
                 cluster.version += 1
-                # Losing a member's position changes what join-within can
-                # produce: a structural change, not a rigid translation.
-                cluster.struct_version += 1
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

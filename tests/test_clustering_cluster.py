@@ -90,6 +90,19 @@ class TestRefresh:
         assert member.speed == 45.0
         assert c.avespeed == pytest.approx(45.0)
 
+    def test_heartbeat_refresh_keeps_version(self):
+        # Same position, speed and destination: a pure heartbeat must not
+        # invalidate views or cached verdicts, or parked-but-reporting
+        # traffic never hits the caches.
+        c = make_cluster()
+        c.absorb(obj_update(1, 0, 0))
+        version = c.version
+        c.absorb(obj_update(1, 0, 0, t=1.0))
+        assert c.version == version
+        assert c.objects[1].last_t == 1.0
+        c.absorb(obj_update(1, 5, 0, t=2.0))
+        assert c.version > version
+
     def test_refresh_outside_radius_grows_radius(self):
         c = make_cluster()
         c.absorb(obj_update(1, 0, 0))

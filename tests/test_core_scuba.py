@@ -154,6 +154,18 @@ class TestPostJoinMaintenance:
         assert cluster.radius == pytest.approx(5.0, abs=1e-6)
 
 
+    def test_stale_after_evicts_silent_entities_and_counts_them(self):
+        op = Scuba(ScubaConfig(stale_after=3.0))
+        op.on_update(obj(1, 100, 100, t=0.0))
+        op.on_update(qry(1, 110, 100, t=0.0))
+        op.on_update(obj(2, 120, 100, t=4.0))
+        op.evaluate(4.0)
+        # Entities last heard at t=0 are older than now - stale_after = 1.
+        assert op.evicted_stale == 2
+        assert op.join_counters()["evicted_stale"] == 2
+        assert len(op.objects_table) == 1 and len(op.queries_table) == 0
+
+
 class TestOperatorProtocol:
     def test_state_roots_are_the_five_structures(self):
         op = Scuba()

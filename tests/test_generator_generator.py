@@ -27,6 +27,47 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(speed_factor_range=(0.9, 0.5))
 
+    def test_bad_stopped_fraction_rejected(self):
+        with pytest.raises(ValueError):
+            GeneratorConfig(stopped_fraction=1.5)
+
+
+class TestStoppedTraffic:
+    def test_stopped_fraction_parks_every_group(self):
+        city = grid_city(rows=5, cols=5)
+        gen = NetworkBasedGenerator(
+            city,
+            GeneratorConfig(
+                num_objects=20, num_queries=20, skew=5, seed=1,
+                stopped_fraction=1.0,
+            ),
+        )
+        before = [e.location(city) for e in gen.entities]
+        gen.tick(1.0)
+        after = [e.location(city) for e in gen.entities]
+        assert all(a == b for a, b in zip(before, after))
+        assert all(e.speed == 0.0 for e in gen.entities)
+
+    def test_zero_stopped_fraction_keeps_streams_identical(self):
+        city = grid_city(rows=5, cols=5)
+
+        def stream(**kwargs):
+            gen = NetworkBasedGenerator(
+                city,
+                GeneratorConfig(
+                    num_objects=20, num_queries=20, skew=5, seed=1, **kwargs
+                ),
+            )
+            return [
+                (u.entity_id, u.kind, u.loc.x, u.loc.y, u.t, u.speed)
+                for _ in range(3)
+                for u in gen.tick(1.0)
+            ]
+
+        # The knob draws no randomness when off, so pre-knob streams are
+        # reproduced bit for bit.
+        assert stream() == stream(stopped_fraction=0.0)
+
 
 class TestPopulation:
     def test_population_sizes(self, make_generator):

@@ -4,23 +4,20 @@ The load-bearing guarantee of ``ScubaConfig(batched_ingest=True)`` is that
 the batched fast path is invisible in the results: every interval's match
 multiset — and the full cluster state (memberships, centroids, versions,
 member fields) — is identical to the scalar per-update loop, for any
-composition of incremental joins, shedding, parked traffic and sharded
-execution.  The mechanics tested alongside: the UpdateBatch columns, the
-kernel registry, heartbeat bulk commits, grid-refresh dedupe and the
+composition of shedding, parked traffic and sharded execution.  The
+mechanics tested alongside: the UpdateBatch columns, heartbeat bulk commits, grid-refresh dedupe and the
 version early-out, the pre-absorb hook's flush/re-route protocol, the
 commit version guard, classification cooldown, lazy heartbeat flags,
 mixed-timestamp batches and pickling.
 """
 
 import pickle
-import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.ingest as ingest_pkg
 from repro.core import Scuba, ScubaConfig
 from repro.generator import (
     EntityKind,
@@ -30,14 +27,7 @@ from repro.generator import (
     QueryUpdate,
 )
 from repro.geometry import Point
-from repro.ingest import (
-    INGEST_BACKEND_CHOICES,
-    PythonBatchIngestKernel,
-    ScalarIngestKernel,
-    UpdateBatch,
-    make_ingest_kernel,
-)
-from repro.kernels import numpy_available
+from repro.ingest import NumpyIngestKernel, UpdateBatch
 from repro.network import grid_city
 from repro.parallel import ScubaShardFactory, ShardedEngine
 from repro.shedding import policy_for_eta
@@ -70,12 +60,10 @@ def make_generator(city, seed, update_fraction=1.0, stopped_fraction=0.0):
     )
 
 
-def make_config(batched, incremental=False, eta=0.0, backend="python"):
+def make_config(batched, eta=0.0):
     return ScubaConfig(
         delta=2.0,
-        incremental=incremental,
         shedding=policy_for_eta(eta, 100.0),
-        kernel_backend=backend,
         batched_ingest=batched,
     )
 
@@ -111,7 +99,7 @@ def full_state(op):
         )
         clusters[c.cid] = (
             c.cx, c.cy, c.radius, c.avespeed, c.cn_node,
-            c.version, c.struct_version, c.shed_count, members,
+            c.version, c.shed_count, members,
         )
     return clusters, dict(op.world.home.key_map())
 
@@ -159,7 +147,6 @@ class TestUpdateBatch:
         )
         assert mixed.uniform_t is None
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_numpy_columns_cached(self):
         import numpy as np
 
@@ -169,38 +156,6 @@ class TestUpdateBatch:
         assert xs.tolist() == [1.0]
         assert speeds.tolist() == [3.0]
         assert batch.numpy_columns(np)[0] is keys  # built once
-
-
-class TestKernelRegistry:
-    def test_named_kernels(self):
-        assert isinstance(make_ingest_kernel("python"), PythonBatchIngestKernel)
-        assert isinstance(make_ingest_kernel("scalar"), ScalarIngestKernel)
-        assert "auto" in INGEST_BACKEND_CHOICES
-
-    def test_fresh_instance_per_call(self):
-        # Unlike join-kernel backends, ingest kernels are stateful.
-        assert make_ingest_kernel("python") is not make_ingest_kernel("python")
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown ingest backend"):
-            make_ingest_kernel("fortran")
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(ingest_pkg, "numpy_available", lambda: False)
-        monkeypatch.delattr(ingest_pkg, "numpy_kernel", raising=False)
-        monkeypatch.setitem(sys.modules, "repro.ingest.numpy_kernel", None)
-
-    def test_auto_degrades_without_numpy(self, no_numpy):
-        assert make_ingest_kernel("auto").name == "python"
-
-    def test_explicit_numpy_raises_without_numpy(self, no_numpy):
-        with pytest.raises(ImportError):
-            make_ingest_kernel("numpy")
-
-    def test_auto_prefers_numpy_when_available(self):
-        expected = "numpy" if numpy_available() else "python"
-        assert make_ingest_kernel("auto").name == expected
 
 
 class TestHeartbeatBulkCommit:
@@ -329,7 +284,6 @@ class TestCounters:
         )
         counters = op.join_counters()
         assert counters["batched_ingest"] is True
-        assert counters["ingest_backend"] == "python"
         assert counters["fast_path_batched"] > 0
         assert counters["grid_refresh_deduped"] > 0
 
@@ -337,14 +291,13 @@ class TestCounters:
         _, op = serial_run(city, make_config(batched=False), seed=3, intervals=2)
         counters = op.join_counters()
         assert counters["batched_ingest"] is False
-        assert "ingest_backend" not in counters
         assert counters["fast_path_batched"] == 0
 
     def test_pickling_rebuilds_fresh_kernel(self):
         op = parked_operator(ticks=1)
         assert op.ingest_kernel.fast_path_batched > 0
         clone = pickle.loads(pickle.dumps(op))
-        assert isinstance(clone.ingest_kernel, PythonBatchIngestKernel)
+        assert isinstance(clone.ingest_kernel, NumpyIngestKernel)
         assert clone.ingest_kernel is not op.ingest_kernel
         assert clone.ingest_kernel.fast_path_batched == 0  # transient state
         assert full_state(clone) == full_state(op)
@@ -365,14 +318,14 @@ class TestEquivalence:
         assert interval_multisets(sink) == interval_multisets(ref_sink)
         assert full_state(op) == full_state(ref_op)
 
-    def test_composes_with_incremental_and_shedding(self, city):
+    def test_composes_with_shedding(self, city):
         seed = 5
         ref_sink, ref_op = serial_run(
-            city, make_config(batched=False, incremental=True, eta=0.3),
+            city, make_config(batched=False, eta=0.3),
             seed, stopped_fraction=0.5,
         )
         sink, op = serial_run(
-            city, make_config(batched=True, incremental=True, eta=0.3),
+            city, make_config(batched=True, eta=0.3),
             seed, stopped_fraction=0.5,
         )
         assert interval_multisets(sink) == interval_multisets(ref_sink)
@@ -400,20 +353,18 @@ class TestEquivalence:
         assert interval_multisets(sink) == interval_multisets(reference)
         assert counters["batched_ingest"] is True
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_numpy_kernel_matches_scalar(self, city):
+    def test_array_classification_matches_scalar(self, city):
         seed = 13
         ref_sink, ref_op = serial_run(
             city, make_config(batched=False), seed, stopped_fraction=1.0
         )
-        op = Scuba(make_config(batched=True, backend="numpy"))
+        op = Scuba(make_config(batched=True))
         # Force the array path at test-sized groups (the production
         # threshold only engages it on large ones).
         op.ingest_kernel.numpy_min_group = 2
         sink, _ = serial_run(
             city, None, seed, operator=op, stopped_fraction=1.0
         )
-        assert op.ingest_kernel.name == "numpy"
         assert op.ingest_kernel.fast_path_batched > 0
         assert interval_multisets(sink) == interval_multisets(ref_sink)
         assert full_state(op) == full_state(ref_op)
@@ -423,16 +374,15 @@ class TestEquivalence:
         seed=st.integers(min_value=0, max_value=31),
         stopped=st.sampled_from([0.0, 0.5, 1.0]),
         eta=st.sampled_from([0.0, 0.3]),
-        incremental=st.booleans(),
     )
-    def test_randomized_sweep(self, seed, stopped, eta, incremental):
+    def test_randomized_sweep(self, seed, stopped, eta):
         city = grid_city(rows=9, cols=9)
         ref_sink, ref_op = serial_run(
-            city, make_config(batched=False, incremental=incremental, eta=eta),
+            city, make_config(batched=False, eta=eta),
             seed, intervals=3, stopped_fraction=stopped,
         )
         sink, op = serial_run(
-            city, make_config(batched=True, incremental=incremental, eta=eta),
+            city, make_config(batched=True, eta=eta),
             seed, intervals=3, stopped_fraction=stopped,
         )
         assert interval_multisets(sink) == interval_multisets(ref_sink)

@@ -1,19 +1,11 @@
-"""Backend registry behaviour: resolution, degradation, pickling."""
+"""Backend registry behaviour: resolution and pickling."""
 
 import pickle
-import sys
 
 import pytest
 
-import repro.kernels as kernels
-from repro.kernels import (
-    PythonBatchBackend,
-    ScalarBackend,
-    available_backends,
-    numpy_available,
-    resolve_backend,
-)
-from repro.kernels import BACKEND_CHOICES
+from repro.core import RegularConfig, ScubaConfig
+from repro.kernels import BACKEND_CHOICES, NumpyBackend, ScalarBackend, resolve_backend
 
 
 class TestResolution:
@@ -21,61 +13,31 @@ class TestResolution:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("cuda")
 
+    @pytest.mark.parametrize("name", ["python", "auto"])
+    def test_retired_names_rejected(self, name):
+        """``python`` is the numpy backend's small-input path, selected by
+        input size; ``auto`` had nothing left to choose between."""
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend(name)
+        with pytest.raises(ValueError, match="kernel_backend"):
+            ScubaConfig(kernel_backend=name)
+        with pytest.raises(ValueError, match="kernel_backend"):
+            RegularConfig(kernel_backend=name)
+
     def test_known_names_resolve(self):
+        assert BACKEND_CHOICES == ("numpy", "scalar")
         assert isinstance(resolve_backend("scalar"), ScalarBackend)
-        assert isinstance(resolve_backend("python"), PythonBatchBackend)
+        assert isinstance(resolve_backend("numpy"), NumpyBackend)
+        assert resolve_backend().name == "numpy"
 
     def test_instances_are_shared(self):
-        assert resolve_backend("python") is resolve_backend("python")
-        assert resolve_backend("scalar") is resolve_backend("scalar")
-
-    def test_auto_prefers_numpy_when_available(self):
-        expected = "numpy" if numpy_available() else "python"
-        assert resolve_backend("auto").name == expected
-
-    def test_choices_cover_available_backends(self):
-        assert "auto" in BACKEND_CHOICES
-        for name in available_backends():
-            assert name in BACKEND_CHOICES
-
-
-class TestNumpyAbsent:
-    """Degradation semantics with numpy simulated away.
-
-    Poisoning ``sys.modules`` makes ``from . import numpy_backend`` raise
-    ImportError whether or not numpy is actually installed, so these run
-    identically on both CI legs.
-    """
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_instances", {})
-        # ``from . import numpy_backend`` resolves through the package
-        # attribute before sys.modules, so both must be poisoned.
-        monkeypatch.delattr(kernels, "numpy_backend", raising=False)
-        monkeypatch.setitem(sys.modules, "repro.kernels.numpy_backend", None)
-        yield
-        kernels._instances = {}
-
-    def test_auto_degrades_to_python(self, no_numpy):
-        assert resolve_backend("auto").name == "python"
-
-    def test_explicit_numpy_fails_loudly(self, no_numpy):
-        with pytest.raises(ImportError):
-            resolve_backend("numpy")
-
-    def test_availability_reporting(self, no_numpy):
-        assert not numpy_available()
-        assert available_backends() == ["python", "scalar"]
+        for name in BACKEND_CHOICES:
+            assert resolve_backend(name) is resolve_backend(name)
 
 
 class TestPickling:
     def test_backend_roundtrips_to_shared_instance(self):
-        for name in available_backends():
+        for name in BACKEND_CHOICES:
             backend = resolve_backend(name)
             clone = pickle.loads(pickle.dumps(backend))
             assert clone is resolve_backend(name)
-
-    def test_roundtrip_preserves_name(self):
-        backend = resolve_backend("python")
-        assert pickle.loads(pickle.dumps(backend)).name == "python"

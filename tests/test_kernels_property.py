@@ -1,6 +1,6 @@
 """Cross-backend equivalence: the kernel contract, property-tested.
 
-Every backend registered in :mod:`repro.kernels` must produce the
+Every backend in :mod:`repro.kernels` must produce the
 identical :class:`~repro.streams.QueryMatch` *multiset* (order may
 differ) and the identical logical test count for the same inputs.  The
 cases deliberately straddle the backends' adaptive fallback thresholds
@@ -19,11 +19,11 @@ from repro.clustering import MovingCluster
 from repro.core import ClusterJoinView, join_within_pair, join_within_self
 from repro.generator import LocationUpdate, QueryUpdate
 from repro.geometry import Point
-from repro.kernels import PointBatch, available_backends, resolve_backend
+from repro.kernels import PointBatch, PythonBatchBackend, resolve_backend
 
-#: Concrete backends usable here — includes ``numpy`` when importable, so
-#: the same suite covers two or three backends depending on the extra.
-BACKENDS = available_backends()
+#: The two selectable backends plus the numpy backend's small-input
+#: path, which is not selectable but must obey the same contract.
+BACKENDS = (resolve_backend("numpy"), PythonBatchBackend(), resolve_backend("scalar"))
 
 COORD = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 #: Few distinct extents so shed query groups collect several queries.
@@ -56,13 +56,12 @@ def build_cluster(cid, objects, queries, shed_every=0, cn=1):
     return cluster
 
 
-def pair_outcome(backend_name, left, right):
+def pair_outcome(backend, left, right):
     """(match multiset, test count) of one pair join under one backend.
 
     Views are rebuilt per backend so each pays for its own scratch
     derivations and none can read another backend's cached arrays.
     """
-    backend = resolve_backend(backend_name)
     out = []
     tests = join_within_pair(
         ClusterJoinView(left), ClusterJoinView(right), 1.0, out, backend=backend
@@ -72,8 +71,8 @@ def pair_outcome(backend_name, left, right):
 
 def assert_backends_agree(left, right):
     reference = pair_outcome(BACKENDS[0], left, right)
-    for name in BACKENDS[1:]:
-        assert pair_outcome(name, left, right) == reference
+    for backend in BACKENDS[1:]:
+        assert pair_outcome(backend, left, right) == reference
 
 
 class TestPairJoinEquivalence:
@@ -128,8 +127,8 @@ class TestPairJoinEquivalence:
     def test_disjoint_clusters_emit_nothing_everywhere(self):
         left = build_cluster(0, [(10.0, 10.0)] * 3, [], cn=1)
         right = build_cluster(1, [], [(900.0, 900.0, 20.0, 20.0)] * 3, cn=2)
-        for name in BACKENDS:
-            matches, _ = pair_outcome(name, left, right)
+        for backend in BACKENDS:
+            matches, _ = pair_outcome(backend, left, right)
             assert not matches
 
 
@@ -142,11 +141,11 @@ class TestSelfJoinEquivalence:
     )
     def test_mixed_cluster_self_join(self, objects, queries, shed_every):
         reference = None
-        for name in BACKENDS:
+        for backend in BACKENDS:
             cluster = build_cluster(0, objects, queries, shed_every)
             out = []
             tests = join_within_self(
-                ClusterJoinView(cluster), 1.0, out, backend=resolve_backend(name)
+                ClusterJoinView(cluster), 1.0, out, backend=backend
             )
             outcome = (Counter(out), tests)
             if reference is None:
@@ -156,8 +155,7 @@ class TestSelfJoinEquivalence:
 
 
 class TestPointsInRectEquivalence:
-    def run_queries(self, backend_name, points, queries):
-        backend = resolve_backend(backend_name)
+    def run_queries(self, backend, points, queries):
         ids = list(range(len(points)))
         batch = PointBatch(
             ids, [p[0] for p in points], [p[1] for p in points]
@@ -179,5 +177,5 @@ class TestPointsInRectEquivalence:
                 for _ in range(5)
             ]
             reference = self.run_queries(BACKENDS[0], points, queries)
-            for name in BACKENDS[1:]:
-                assert self.run_queries(name, points, queries) == reference
+            for backend in BACKENDS[1:]:
+                assert self.run_queries(backend, points, queries) == reference

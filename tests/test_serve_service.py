@@ -10,6 +10,8 @@ filtering at the top level, visible counters for every decision.
 from __future__ import annotations
 
 import asyncio
+import math
+import threading
 
 import pytest
 
@@ -193,15 +195,42 @@ class TestOverload:
         """At a full queue the drop policy discards ticks, counts them,
         and the service still completes."""
 
+        class OverrunSource(_PhasedSource):
+            """An endless burst (a tick budget can be spent entirely on
+            drops when the box is busy) that signals once it has produced
+            more than the evaluator and the queue can hold."""
+
+            def __init__(self, overrun_at: int) -> None:
+                super().__init__(fast_ticks=math.inf, slow_ticks=0, delay=0.0)
+                self.overrun_at = overrun_at
+                self.overrun = threading.Event()
+
+            async def next_batch(self):
+                batch = await super().next_batch()
+                if self.produced >= self.overrun_at:
+                    self.overrun.set()
+                return batch
+
         events = []
-        source = _PhasedSource(fast_ticks=30, slow_ticks=0, delay=0.0)
-        service, _ = make_service(
-            queue_depth=2,
+        queue_depth = 2
+        # One interval's ticks in the evaluator, a full queue, one more.
+        source = OverrunSource(EngineConfig().ticks_per_interval + queue_depth + 1)
+        service, engine = make_service(
+            queue_depth=queue_depth,
             policy="drop",
             max_intervals=3,
             source=source,
             events=events,
         )
+        run_interval = engine.run_interval
+
+        def run_interval_after_overrun():
+            # The drop is forced by construction, not by how far the
+            # producer happens to get while an interval evaluates.
+            assert source.overrun.wait(timeout=60)
+            return run_interval()
+
+        engine.run_interval = run_interval_after_overrun
         summary = service.run_forever()
         assert summary["intervals"] == 3
         counters = summary["counters"]
