@@ -2,13 +2,13 @@
 
 A hotspot workload concentrates most convoys in a downtown sub-rect, so a
 static tiling parks nearly all the join work on one shard while the rest
-idle.  This benchmark runs the same seeded workload three ways per SCUBA
-variant — single-process serial (the answer oracle), statically-sharded,
-and adaptively-sharded — and reports
+idle.  This benchmark runs the same seeded workload three ways —
+single-process serial (the answer oracle), statically-sharded, and
+adaptively-sharded — and reports
 
 * **equivalence** (always enforced, the gate CI runs on): the static and
   adaptive sharded answer multisets must be *exactly* the serial
-  engine's, per interval, for both variants {plain, batched-ingest};
+  engine's, per interval;
 * **critical-path speedup** (the point of resharding): summed
   per-interval max-shard join seconds, static vs adaptive.  Enforced
   ≥ ``--min-speedup`` (default 1.2x) on full local runs; with
@@ -42,12 +42,6 @@ from repro.parallel import (  # noqa: E402
 )
 from repro.streams import CollectingSink, EngineConfig, StreamEngine  # noqa: E402
 
-SCUBA_VARIANTS = {
-    "plain": {},
-    "batched": {"batched_ingest": True},
-}
-
-
 def make_generator(args) -> NetworkBasedGenerator:
     return NetworkBasedGenerator(
         grid_city(rows=args.city, cols=args.city),
@@ -69,11 +63,11 @@ def interval_multisets(sink: CollectingSink) -> dict:
     }
 
 
-def serial_run(args, variant_kwargs):
+def serial_run(args):
     sink = CollectingSink()
     engine = StreamEngine(
         make_generator(args),
-        Scuba(ScubaConfig(**variant_kwargs)),
+        Scuba(ScubaConfig()),
         sink,
         EngineConfig(),
     )
@@ -81,12 +75,12 @@ def serial_run(args, variant_kwargs):
     return interval_multisets(sink)
 
 
-def sharded_run(args, variant_kwargs, adaptive: bool):
+def sharded_run(args, adaptive: bool):
     sink = CollectingSink()
     engine = ShardedEngine(
         make_generator(args),
         ScubaShardFactory(
-            ScubaConfig(**variant_kwargs),
+            ScubaConfig(),
             max_query_extent=(args.query_range, args.query_range),
         ),
         shards=args.shards,
@@ -181,34 +175,26 @@ def main(argv=None) -> int:
         f"{args.intervals} intervals"
     )
     problems: list = []
-    variants = {}
-    for variant, kwargs in SCUBA_VARIANTS.items():
-        reference = serial_run(args, kwargs)
-        static_answers, static_row = sharded_run(args, kwargs, adaptive=False)
-        adaptive_answers, adaptive_row = sharded_run(args, kwargs, adaptive=True)
-        problems += compare(reference, static_answers, f"{variant}/static")
-        problems += compare(reference, adaptive_answers, f"{variant}/adaptive")
-        speedup = (
-            static_row["critical_path_seconds"]
-            / adaptive_row["critical_path_seconds"]
-            if adaptive_row["critical_path_seconds"] > 0
-            else float("inf")
-        )
-        variants[variant] = {
-            "static": static_row,
-            "adaptive": adaptive_row,
-            "critical_path_speedup": speedup,
-        }
-        print(
-            f"  {variant:12s} static crit {static_row['critical_path_seconds']:.4f}s "
-            f"(imbalance {static_row['load_imbalance']:.2f}) | "
-            f"adaptive crit {adaptive_row['critical_path_seconds']:.4f}s "
-            f"(imbalance {adaptive_row['load_imbalance']:.2f}, "
-            f"epoch {adaptive_row['plan_epoch']}, "
-            f"{adaptive_row['clusters_migrated']} clusters migrated) | "
-            f"speedup {speedup:.2f}x"
-        )
-    gate_speedup = variants["plain"]["critical_path_speedup"]
+    reference = serial_run(args)
+    static_answers, static_row = sharded_run(args, adaptive=False)
+    adaptive_answers, adaptive_row = sharded_run(args, adaptive=True)
+    problems += compare(reference, static_answers, "static")
+    problems += compare(reference, adaptive_answers, "adaptive")
+    gate_speedup = (
+        static_row["critical_path_seconds"]
+        / adaptive_row["critical_path_seconds"]
+        if adaptive_row["critical_path_seconds"] > 0
+        else float("inf")
+    )
+    print(
+        f"  static crit {static_row['critical_path_seconds']:.4f}s "
+        f"(imbalance {static_row['load_imbalance']:.2f}) | "
+        f"adaptive crit {adaptive_row['critical_path_seconds']:.4f}s "
+        f"(imbalance {adaptive_row['load_imbalance']:.2f}, "
+        f"epoch {adaptive_row['plan_epoch']}, "
+        f"{adaptive_row['clusters_migrated']} clusters migrated) | "
+        f"speedup {gate_speedup:.2f}x"
+    )
     report = {
         "workload": {
             "objects": args.objects,
@@ -223,7 +209,9 @@ def main(argv=None) -> int:
             "reshard_interval": args.reshard_interval,
             "dry_run": args.dry_run,
         },
-        "variants": variants,
+        "static": static_row,
+        "adaptive": adaptive_row,
+        "critical_path_speedup": gate_speedup,
         "equivalence_ok": not problems,
         "problems": problems,
     }
@@ -239,7 +227,7 @@ def main(argv=None) -> int:
         return 1
     if args.dry_run:
         print(
-            f"equivalence OK across {len(variants)} variants "
+            f"equivalence OK "
             f"(speedup {gate_speedup:.2f}x informational in dry-run)"
         )
         return 0

@@ -2,11 +2,11 @@
 
 Measures the combined **generate + ingest** stage seconds of the
 columnar tick path (``tick_batching=True``: the generator emits SoA
-:class:`~repro.generator.TickBatch` columns that batched ingest consumes
-without materialising per-object update rows) against the scalar
-reference path (per-entity Python loop emitting ``Update`` objects), at
-the scale ladder's 10k rung.  Both arms run the same batched-ingest
-SCUBA operator; only the tick representation differs.
+:class:`~repro.generator.TickBatch` columns that SCUBA's whole-tick ingest
+pass consumes without materialising per-object update rows) against the
+scalar reference path (per-entity Python loop emitting ``Update`` objects
+that take the ``on_update`` loop), at the scale ladder's 10k rung.  Both
+arms run the same SCUBA operator; only the tick representation differs.
 
 Two gates:
 
@@ -106,9 +106,7 @@ def measure(args, *, tick_batching: bool, stopped: float) -> dict:
         args, seed=args.seed, skew=args.skew, stopped=stopped, hotspot=0.0,
         update_fraction=1.0, tick_batching=tick_batching,
     )
-    operator = Scuba(ScubaConfig(
-        grid_size=args.grid, delta=DELTA, batched_ingest=True,
-    ))
+    operator = Scuba(ScubaConfig(grid_size=args.grid, delta=DELTA))
     engine = StreamEngine(
         generator, operator, CountingSink(), EngineConfig(delta=DELTA, tick=1.0)
     )

@@ -75,10 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "controller defends")
     parser.add_argument("--split", action="store_true",
                         help="enable cluster splitting at destinations")
-    parser.add_argument("--batched-ingest", action="store_true",
-                        help="batched columnar ingest: process each tick's "
-                             "updates per cluster group instead of one at a "
-                             "time (scuba only; answers unchanged)")
     parser.add_argument("--stale-after", type=float, default=None,
                         metavar="T",
                         help="evict table rows for entities silent longer "
@@ -121,7 +117,6 @@ def make_scuba_config(args: argparse.Namespace) -> ScubaConfig:
         shed_budget=args.shed_budget,
         split_at_destination=args.split,
         kernel_backend=args.kernel_backend,
-        batched_ingest=args.batched_ingest,
         stale_after=args.stale_after,
     )
 
@@ -193,14 +188,14 @@ def print_cache_footer(counters: dict) -> None:
         f"join: candidate pairs {counters.get('join_pairs_batched', 0)} | "
         f"fused segments {counters.get('join_segments', 0)}"
     )
-    if counters.get("batched_ingest"):
-        print(
-            f"ingest: batched {counters.get('fast_path_batched', 0)} | "
-            f"bulk absorbs {counters.get('bulk_absorbs', 0)} | "
-            f"grid refreshes deduped {counters.get('grid_refresh_deduped', 0)} "
-            f"(+{counters.get('grid_refresh_skips', 0)} skipped) | "
-            f"fallbacks {counters.get('batch_fallbacks', 0)}"
-        )
+    print(
+        f"ingest: heartbeats {counters.get('ingest_heartbeats', 0)} | "
+        f"refreshes {counters.get('ingest_refreshes', 0)} | "
+        f"reclustered {counters.get('ingest_reclustered', 0)} | "
+        f"new {counters.get('ingest_new', 0)} | "
+        f"grid re-registrations {counters.get('grid_reregistrations', 0)} "
+        f"(+{counters.get('grid_refresh_skips', 0)} refreshes skipped)"
+    )
 
 
 def main(argv=None) -> int:
@@ -214,10 +209,6 @@ def main(argv=None) -> int:
         raise SystemExit(
             f"--adaptive-shedding requires --operator scuba, "
             f"got {args.operator}"
-        )
-    if args.batched_ingest and args.operator != "scuba":
-        raise SystemExit(
-            f"--batched-ingest requires --operator scuba, got {args.operator}"
         )
     if args.stale_after is not None and args.operator != "scuba":
         raise SystemExit(

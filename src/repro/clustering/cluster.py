@@ -330,12 +330,19 @@ class MovingCluster:
                 and update.cn_node == member.cn_node
                 and x == member.abs_x + (self.trans_x - member.tr_x)
                 and y == member.abs_y + (self.trans_y - member.tr_y)
+                and (
+                    is_object
+                    or (
+                        update.range_width == member.range_width
+                        and update.range_height == member.range_height
+                    )
+                )
             ):
                 # Heartbeat: the member re-reported exactly where the
                 # cluster already places it, at the same speed, bound for
-                # the same node.  Nothing join-relevant changed, so no
-                # version bump — parked traffic stays cacheable while
-                # reporting.
+                # the same node, with the same window.  Nothing
+                # join-relevant changed, so no version bump — parked
+                # traffic stays cacheable while reporting.
                 member.last_t = update.t
                 return
             self.version += 1
@@ -363,6 +370,13 @@ class MovingCluster:
                 member.cn_node = update.cn_node
                 member.cn_x = update.cn_loc.x
                 member.cn_y = update.cn_loc.y
+            if not is_object and (
+                update.range_width != member.range_width
+                or update.range_height != member.range_height
+            ):
+                self.resize_window(
+                    member, update.range_width, update.range_height
+                )
             if len(self.objects) + len(self.queries) == 1:
                 # A single-member cluster simply follows its entity: the
                 # member *is* the centroid, and the footprint is a point.
@@ -472,6 +486,24 @@ class MovingCluster:
         """
         table = self.objects if kind is EntityKind.OBJECT else self.queries
         table.pop(entity_id, None)
+
+    def resize_window(
+        self, member: ClusterMember, width: float, height: float
+    ) -> None:
+        """A query member re-reported with a different window.
+
+        The cluster's reach grows with a wider window and is recomputed
+        when the widest member shrank; callers bump ``version`` and
+        refresh the grid (the registered cover depends on the reach).
+        """
+        old = member.half_diag
+        member.range_width = width
+        member.range_height = height
+        member.half_diag = new = 0.5 * math.hypot(width, height)
+        if new > self.max_query_half_diag:
+            self.max_query_half_diag = new
+        elif new < old == self.max_query_half_diag:
+            self._recompute_query_reach()
 
     def _recompute_query_reach(self) -> None:
         self.max_query_half_diag = max(

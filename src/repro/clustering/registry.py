@@ -57,6 +57,11 @@ class ClusterStorage:
     def __contains__(self, cid: int) -> bool:
         return cid in self._clusters
 
+    def cid_map(self) -> Dict[int, MovingCluster]:
+        """The cid → cluster table itself (treat as read-only); the
+        whole-tick ingest pass binds its lookup once per tick."""
+        return self._clusters
+
     def __len__(self) -> int:
         return len(self._clusters)
 
@@ -85,19 +90,11 @@ class ClusterHome:
     def cluster_of(self, entity_id: int, kind: EntityKind) -> Optional[int]:
         return self._home.get(entity_id * 2 + (kind is EntityKind.OBJECT))
 
-    def cluster_of_key(self, key: int) -> Optional[int]:
-        """Lookup by pre-packed key (``entity_id * 2 + is_object``).
-
-        The batched ingest path packs keys once per tick into columnar
-        arrays; this entry point skips re-deriving them per lookup.
-        """
-        return self._home.get(key)
-
     def key_map(self) -> Dict[int, int]:
         """The key → cid table itself (treat as read-only).
 
-        The batched grouping pass binds this dict's ``.get`` once per
-        tick, turning the per-update home lookup into a bare dict probe.
+        The whole-tick ingest pass binds this dict's ``.get`` once per
+        tick and probes it with the batch's pre-packed key column.
         """
         return self._home
 
@@ -141,6 +138,9 @@ class ClusterGrid(SpatialGrid):
         self._verified: Dict[int, Tuple[int, float, float, float]] = {}
         #: Refresh calls answered by the version early-out (diagnostics).
         self.refresh_skips = 0
+        #: Refresh calls whose footprint escaped the cover and forced a
+        #: new cell registration.
+        self.reregistrations = 0
         self._slack = 0.5 * min(
             self.bounds.width / self.nx, self.bounds.height / self.ny
         )
@@ -156,8 +156,33 @@ class ClusterGrid(SpatialGrid):
             cluster.version, cx, cy, cluster.radius
         )
 
+    def cover_maps(
+        self,
+    ) -> Tuple[
+        Dict[int, Tuple[float, float, float]],
+        Dict[int, Tuple[int, float, float, float]],
+    ]:
+        """The ``(registered, verified)`` tables themselves.
+
+        Contract, shared with the one outside reader
+        (``IncrementalClusterer.ingest_tick``, which repeats
+        :meth:`refresh`'s containment branch in place): ``registered[cid]``
+        is ``(center_x, center_y, inflated_radius)`` of the circle whose
+        cells the cluster occupies, slack already included;
+        ``verified[cid]`` is ``(version, cx, cy, radius)`` at the last
+        check that found the footprint inside that circle.  A reader may
+        store a new ``verified`` row after making that same check; only
+        :meth:`register` / :meth:`unregister` write ``registered``.
+        """
+        return self._registered, self._verified
+
     def refresh(self, cluster: MovingCluster) -> None:
-        """Re-register if the footprint escaped its slack-inflated cover."""
+        """Re-register if the footprint escaped its slack-inflated cover.
+
+        ``IncrementalClusterer.ingest_tick`` carries a copy of the early-out
+        and of the containment test below (through :meth:`cover_maps`):
+        change the arithmetic or a tuple layout here and there together.
+        """
         cid = cluster.cid
         if self._verified.get(cid) == (
             cluster.version, cluster.cx, cluster.cy, cluster.radius
@@ -180,6 +205,7 @@ class ClusterGrid(SpatialGrid):
                 )
                 return
             self.remove(cid, cluster.grid_cells)
+            self.reregistrations += 1
         self.register(cluster)
 
     def unregister(self, cluster: MovingCluster) -> None:
@@ -196,14 +222,6 @@ class ClusterWorld:
         self.storage = ClusterStorage()
         self.home = ClusterHome()
         self.grid = ClusterGrid(bounds, grid_size)
-        #: Optional callable invoked with the target cluster right before
-        #: a membership mutation (absorb/evict).  The batched ingest
-        #: kernel installs it for the duration of one tick's walk so
-        #: slow-path rows that touch a cluster with uncommitted batched
-        #: rows first flush those rows in arrival order — keeping the
-        #: mutation sequence identical to the scalar loop.  Always
-        #: ``None`` outside a batched walk (and never pickled set).
-        self.pre_absorb_hook = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -235,18 +253,12 @@ class ClusterWorld:
 
     def absorb(self, cluster: MovingCluster, update) -> None:
         """Absorb ``update`` into ``cluster`` and keep home/grid in sync."""
-        hook = self.pre_absorb_hook
-        if hook is not None:
-            hook(cluster)
         cluster.absorb(update)
         self.home.assign(update.entity_id, update.kind, cluster.cid)
         self.grid.refresh(cluster)
 
     def evict(self, cluster: MovingCluster, entity_id: int, kind: EntityKind) -> None:
         """Remove one member; dissolve the cluster if it becomes empty."""
-        hook = self.pre_absorb_hook
-        if hook is not None:
-            hook(cluster)
         cluster.remove(entity_id, kind)
         self.home.release(entity_id, kind)
         if cluster.is_empty:

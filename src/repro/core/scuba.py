@@ -42,6 +42,7 @@ matches are identical with and without them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import hypot
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -54,9 +55,7 @@ from ..clustering import (
     split_cluster,
 )
 from ..generator import EntityKind, LocationUpdate, QueryUpdate, TickBatch, Update
-from ..generator.records import _EMPTY_ATTRS
 from ..geometry import Point, Rect
-from ..ingest import NumpyIngestKernel
 from ..kernels import BACKEND_CHOICES, resolve_backend
 from ..network import DEFAULT_BOUNDS
 from ..shedding import AdaptiveShedder, NoShedding, SheddingPolicy
@@ -120,13 +119,6 @@ class ScubaConfig:
     #: ``"scalar"``, the tuple-at-a-time reference the kernel property
     #: tests compare against.
     kernel_backend: str = "numpy"
-    #: Batched columnar ingest: build one
-    #: :class:`~repro.ingest.UpdateBatch` per evaluation tick and run the
-    #: steady-state cluster-maintenance fast path per cluster group
-    #: instead of per update.  Answers and cluster assignments stay
-    #: identical to the scalar loop (see :mod:`repro.ingest.base` for the
-    #: exactness contract).
-    batched_ingest: bool = False
     #: Evict table rows for entities silent for longer than this many time
     #: units, checked once per post-join maintenance pass.  ``None``
     #: (default) keeps rows forever (seed behaviour).
@@ -204,12 +196,6 @@ class Scuba(StagedJoinOperator):
         else:
             self.shedder = None
         self.kernels = resolve_backend(self.config.kernel_backend)
-        # Ingest kernels are stateful (counters, member-view caches), so
-        # each operator owns a fresh instance; ``None`` keeps the scalar
-        # per-update loop byte-for-byte untouched when batching is off.
-        self.ingest_kernel = (
-            NumpyIngestKernel() if self.config.batched_ingest else None
-        )
         # Cross-evaluation caches, keyed on cluster version counters (cids
         # are never reused, so a stale cid can only miss or be pruned,
         # never alias).  Dropped on pickling and rebuilt lazily.
@@ -238,77 +224,48 @@ class Scuba(StagedJoinOperator):
     # -- phase 1: pre-join maintenance ------------------------------------------
 
     def on_update(self, update: Update) -> None:
-        """Cluster one incoming update (and maybe shed its position)."""
-        if update.kind is EntityKind.OBJECT:
-            self.objects_table.record(update.entity_id, update.attrs, update.t)
-        else:
-            self.queries_table.record(update.entity_id, update.attrs, update.t)
-        cluster = self.clusterer.ingest(update)
-        if not self._shed_is_noop:
-            dist = hypot(update.loc.x - cluster.cx, update.loc.y - cluster.cy)
-            self.config.shedding.apply(cluster, update, dist)
+        """Cluster one incoming update (and maybe shed its position).
 
-    def record_update(self, update: Update) -> None:
-        """Tables-only half of :meth:`on_update` (no clustering).
-
-        The batched ingest kernels record fast-path rows at their arrival
-        position and commit their cluster maintenance as a group later.
+        The per-update API — and the reference that the column pass of
+        :meth:`ingest_batch` must equal bit for bit.
         """
         if update.kind is EntityKind.OBJECT:
             self.objects_table.record(update.entity_id, update.attrs, update.t)
         else:
             self.queries_table.record(update.entity_id, update.attrs, update.t)
-
-    def record_updates(self, updates: Sequence[Update]) -> None:
-        """Bulk :meth:`record_update`: one tick's table rows, arrival
-        order, with the table methods bound once for the whole run.  Tick
-        batches record straight off their id/kind columns — no row
-        materialization, same table state."""
-        obj_record = self.objects_table.record
-        qry_record = self.queries_table.record
-        if isinstance(updates, TickBatch):
-            t = updates.t
-            attrs_list = updates.attrs_list
-            if attrs_list is None:
-                for eid, is_obj in zip(updates.ids, updates.kinds):
-                    if is_obj:
-                        obj_record(eid, _EMPTY_ATTRS, t)
-                    else:
-                        qry_record(eid, _EMPTY_ATTRS, t)
-            else:
-                for i, (eid, is_obj) in enumerate(
-                    zip(updates.ids, updates.kinds)
-                ):
-                    attrs = attrs_list[i]
-                    if attrs is None:
-                        attrs = _EMPTY_ATTRS
-                    if is_obj:
-                        obj_record(eid, attrs, t)
-                    else:
-                        qry_record(eid, attrs, t)
-            return
-        obj = EntityKind.OBJECT
-        for update in updates:
-            if update.kind is obj:
-                obj_record(update.entity_id, update.attrs, update.t)
-            else:
-                qry_record(update.entity_id, update.attrs, update.t)
-
-    def ingest_clustered(self, update: Update) -> None:
-        """Clustering half of :meth:`on_update` (tables already recorded)."""
         cluster = self.clusterer.ingest(update)
         if not self._shed_is_noop:
             dist = hypot(update.loc.x - cluster.cx, update.loc.y - cluster.cy)
-            self.config.shedding.apply(cluster, update, dist)
+            self.config.shedding.apply(
+                cluster, update.entity_id, update.kind, dist
+            )
 
     def ingest_batch(self, updates: Sequence[Update]) -> None:
-        kernel = self.ingest_kernel
-        if kernel is None:
+        """Ingest one tick.  A :class:`TickBatch` is processed straight off
+        its columns (tables in bulk, then
+        :meth:`IncrementalClusterer.ingest_tick`); any other sequence takes
+        the :meth:`on_update` loop."""
+        if not isinstance(updates, TickBatch):
             on_update = self.on_update
             for update in updates:
                 on_update(update)
+            return
+        # Nothing reads the tables mid-tick, so recording every row up
+        # front leaves them exactly as the interleaved per-update records.
+        ids, kinds, t = updates.ids, updates.kinds, updates.t
+        if updates.attrs_list is None:
+            self.objects_table.record_ids(list(compress(ids, kinds)), t)
+            self.queries_table.record_ids(
+                [eid for eid, is_obj in zip(ids, kinds) if not is_obj], t
+            )
         else:
-            kernel.run(self, updates)
+            obj_record = self.objects_table.record
+            qry_record = self.queries_table.record
+            for eid, is_obj, attrs in zip(ids, kinds, updates.attrs_list):
+                (obj_record if is_obj else qry_record)(eid, attrs, t)
+        self.clusterer.ingest_tick(
+            updates, None if self._shed_is_noop else self.config.shedding
+        )
 
     def retract(self, entity_id: int, kind: EntityKind) -> None:
         """Forget one entity: evict it from its cluster and its table.
@@ -711,27 +668,26 @@ class Scuba(StagedJoinOperator):
 
     def join_counters(self) -> Dict[str, Any]:
         """Kernel/cache instrumentation folded into run statistics."""
-        counters: Dict[str, Any] = {
+        clusterer = self.clusterer
+        grid = self.world.grid
+        return {
             "kernel_backend": self.kernels.name,
-            "batched_ingest": self.config.batched_ingest,
             "join_pairs_batched": self.join_pairs_batched,
             "join_segments": self.join_segments,
             "evicted_stale": self.evicted_stale,
-            # Zeros when batching is off, so merged/reported stat shapes
-            # do not depend on the flag.
-            "fast_path_batched": 0,
-            "bulk_absorbs": 0,
-            "grid_refresh_deduped": 0,
-            "batch_fallbacks": 0,
-            "grid_refresh_skips": self.world.grid.refresh_skips,
+            # What ingest did, one count per row outcome (they sum to
+            # ``clusterer.processed``).
+            "ingest_heartbeats": clusterer.heartbeats,
+            "ingest_refreshes": clusterer.refreshes,
+            "ingest_reclustered": clusterer.reclustered,
+            "ingest_new": clusterer.new_entities,
+            "grid_reregistrations": grid.reregistrations,
+            "grid_refresh_skips": grid.refresh_skips,
             "view_cache_hits": self.view_cache_hits,
             "view_cache_misses": self.view_cache_misses,
             "between_cache_hits": self.between_cache_hits,
             "between_cache_misses": self.between_cache_misses,
         }
-        if self.ingest_kernel is not None:
-            counters.update(self.ingest_kernel.counters())
-        return counters
 
     def state_roots(self) -> List[object]:
         """The five in-memory structures of §4.1 (for memory accounting)."""
@@ -754,19 +710,16 @@ class Scuba(StagedJoinOperator):
 
         Views hold backend scratch data (ndarray mirrors, sort
         permutations) that must not cross process boundaries; the backend
-        and the ingest kernel are rebuilt from config on the other side.
+        is rebuilt from config on the other side.
         """
         state = self.__dict__.copy()
-        for transient in ("kernels", "ingest_kernel", "_view_cache", "_batch_state"):
+        for transient in ("kernels", "_view_cache", "_batch_state"):
             state.pop(transient, None)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self.kernels = resolve_backend(self.config.kernel_backend)
-        self.ingest_kernel = (
-            NumpyIngestKernel() if self.config.batched_ingest else None
-        )
         self._view_cache = {}
         self._batch_state = BatchJoinState()
 

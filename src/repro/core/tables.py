@@ -10,7 +10,7 @@ touching cluster internals.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["EntityAttributeTable", "ObjectsTable", "QueriesTable"]
 
@@ -29,6 +29,15 @@ class EntityAttributeTable:
         elif entity_id not in self._attrs:
             self._attrs[entity_id] = {}
         self._last_seen[entity_id] = t
+
+    def record_ids(self, entity_ids: Sequence[int], t: float) -> None:
+        """Bulk :meth:`record` for one tick's attribute-less rows: same
+        rows, same insertion order."""
+        attrs = self._attrs
+        for entity_id in entity_ids:
+            if entity_id not in attrs:
+                attrs[entity_id] = {}
+        self._last_seen.update(dict.fromkeys(entity_ids, t))
 
     def attrs(self, entity_id: int) -> Mapping[str, Any]:
         return self._attrs[entity_id]

@@ -1,11 +1,11 @@
 """TickBatch: one tick of the update stream in structure-of-arrays form.
 
-The generator's scalar ``tick()`` emits a ``List[Update]`` that batched
-ingest immediately re-packs into columns and the process executor pickles
-object-by-object.  :class:`TickBatch` makes the SoA layout the *native*
-representation: the vectorized generator core writes columns directly, the
-ingest kernels read them without materializing rows, and shard transport
-pickles a handful of arrays instead of thousands of objects.
+The generator's scalar ``tick()`` emits a ``List[Update]`` that the
+process executor pickles object-by-object.  :class:`TickBatch` makes the
+SoA layout the *native* representation: the vectorized generator core
+writes columns directly, SCUBA's whole-tick ingest pass reads them without
+materializing rows, and shard transport pickles a handful of arrays instead
+of thousands of objects.
 
 Compatibility is preserved by making the batch a real ``Sequence[Update]``:
 ``len``/iteration/indexing lazily materialize :class:`LocationUpdate` /
@@ -297,8 +297,8 @@ class TickBatch(Sequence):
         calls per row; a whole-tick consumer iterating a fresh batch pays
         that for every row.  One zip loop over the scalar columns builds
         the same rows at roughly half the cost — this is the hot path of
-        non-batched ingest, where every generated tick is re-materialized
-        into row objects.
+        every row-at-a-time consumer (the baseline operators, the
+        ``on_update`` reference loop).
         """
         xs, ys, speeds, _, _, ws, hs = self._scalar_columns()
         cn_points = self.cn_points
@@ -361,7 +361,7 @@ class TickBatch(Sequence):
 
         ``Sequence`` would synthesize iteration from per-index
         ``__getitem__`` calls; on a fresh batch that per-row protocol
-        roughly doubles non-batched ingest time versus one fused pass.
+        costs roughly twice one fused pass.
         """
         return iter(self.materialize())
 

@@ -215,7 +215,7 @@ class TraceReplayer:
         for update in updates:
             self._latest[(update.kind, update.entity_id)] = update
         try:
-            # Column-pack the tick so replay feeds the same batched ingest
+            # Column-pack the tick so replay feeds the same whole-tick ingest
             # and transport paths as a live generator.
             return TickBatch.from_updates(self.time, updates)
         except ValueError:

@@ -92,17 +92,36 @@ class SpatialGrid:
         row_lo = self._low_row(cy - radius)
         row_hi = self._row(cy + radius)
         r_sq = radius * radius
+        # Squared x-gap from the centre to each column's closed extent:
+        # the same for every row, so computed once per column.
+        cell_w = self._cell_w
+        min_x = self.bounds.min_x
+        dx_sq: List[float] = []
+        for col in range(col_lo, col_hi + 1):
+            cell_min_x = min_x + col * cell_w
+            if cx < cell_min_x:
+                dx = cx - cell_min_x
+            else:
+                cell_max_x = cell_min_x + cell_w
+                dx = cx - cell_max_x if cx > cell_max_x else 0.0
+            dx_sq.append(dx * dx)
+        cell_h = self._cell_h
+        min_y = self.bounds.min_y
+        nx = self.nx
         keys: List[CellKey] = []
         for row in range(row_lo, row_hi + 1):
-            cell_min_y = self.bounds.min_y + row * self._cell_h
-            near_y = min(max(cy, cell_min_y), cell_min_y + self._cell_h)
-            dy = cy - near_y
-            for col in range(col_lo, col_hi + 1):
-                cell_min_x = self.bounds.min_x + col * self._cell_w
-                near_x = min(max(cx, cell_min_x), cell_min_x + self._cell_w)
-                dx = cx - near_x
-                if dx * dx + dy * dy <= r_sq:
-                    keys.append(row * self.nx + col)
+            cell_min_y = min_y + row * cell_h
+            if cy < cell_min_y:
+                dy = cy - cell_min_y
+            else:
+                cell_max_y = cell_min_y + cell_h
+                dy = cy - cell_max_y if cy > cell_max_y else 0.0
+            dy_sq = dy * dy
+            key = row * nx + col_lo
+            for gap in dx_sq:
+                if gap + dy_sq <= r_sq:
+                    keys.append(key)
+                key += 1
         # The centre's own cell is always included even for radius 0.
         if not keys:
             keys.append(self.cell_of(cx, cy))

@@ -118,7 +118,7 @@ def _apply_ops(operator, ops: Sequence[ShardOp]) -> int:
 
     Maximal runs of consecutive updates go through the operator's
     ``ingest_batch`` (Retracts are run boundaries applied in place), so a
-    batched ingest path sees whole-tick groups while the op order — and
+    whole-tick ingest pass sees whole runs while the op order — and
     therefore the resulting state — matches the one-at-a-time loop.
     """
     if isinstance(ops, BatchShardOps):

@@ -95,8 +95,8 @@ class OperatorPlan(StagePlan):
         )
 
     def ingest(self, ctx: EvaluationContext, updates: Sequence[Any]) -> None:
-        # One tick per call: operators with a batched ingest path process
-        # the tick as a group; the default is the per-update loop.
+        # One tick per call: Scuba runs a column TickBatch through its
+        # whole-tick pass; the default is the per-update loop.
         self.operator.ingest_batch(updates)
 
     def join(self, ctx: EvaluationContext) -> None:

@@ -38,8 +38,9 @@ __all__ = [
 SNAPSHOT_FORMAT = "scuba-snapshot"
 #: 2: the envelope's operators pickle object-backed clusters only and
 #: ``ScubaConfig`` has no storage/join-driver fields (version 1 could
-#: carry both).
-SNAPSHOT_VERSION = 2
+#: carry both).  3: ``ScubaConfig`` lost its batched-ingest switch and
+#: the clusterer keeps one counter per row outcome.
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(RuntimeError):

@@ -226,7 +226,7 @@ class SocketTickSource(TickSource):
                 updates = [update_from_dict(d) for d in record["updates"]]
                 try:
                     # Column-pack so the evaluation consumes the socket
-                    # stream through the same batched ingest path as an
+                    # stream through the same whole-tick ingest pass as an
                     # in-process generator.
                     updates = _ColumnTickBatch.from_updates(
                         record["t"], updates

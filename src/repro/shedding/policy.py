@@ -19,7 +19,7 @@ percentage on the x-axis of Fig. 13: ``Θ_N = η × Θ_D``.
 from __future__ import annotations
 
 from ..clustering import MovingCluster
-from ..generator import Update
+from ..generator import EntityKind
 
 __all__ = [
     "SheddingPolicy",
@@ -48,14 +48,16 @@ class SheddingPolicy:
     def should_shed(self, cluster: MovingCluster, dist: float) -> bool:
         raise NotImplementedError
 
-    def apply(self, cluster: MovingCluster, update: Update, dist: float) -> None:
+    def apply(
+        self, cluster: MovingCluster, entity_id: int, kind: EntityKind, dist: float
+    ) -> None:
         """Shed the just-absorbed member's position if the policy says so."""
         nucleus = self.nucleus_radius_for(cluster)
         if nucleus != cluster.nucleus_radius:
             cluster.nucleus_radius = nucleus
             cluster.version += 1
         if self.should_shed(cluster, dist):
-            member = cluster.get_member(update.entity_id, update.kind)
+            member = cluster.get_member(entity_id, kind)
             assert member is not None
             if not member.position_shed:
                 member.position_shed = True

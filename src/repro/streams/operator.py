@@ -47,8 +47,8 @@ class ContinuousJoinOperator(abc.ABC):
         """Ingest one tick's updates, in arrival order.
 
         The pipeline and the shard executors deliver updates through this
-        entry point so operators with a batched ingest path (see
-        :mod:`repro.ingest`) can process a tick at a time.  The default is
+        entry point so an operator can process a tick at a time (see
+        :meth:`repro.core.Scuba.ingest_batch`).  The default is
         the per-update loop, semantically identical for every operator.
         """
         for update in updates:

@@ -4,7 +4,8 @@ The contract under test: a run that snapshots at an interval barrier,
 dies, and resumes from the snapshot produces (a) the same answer
 multiset and (b) bit-identical final operator state (canonical digest)
 as a run that was never interrupted — for the serial and the sharded
-engine, with batched ingest on or off.
+engine.  The sources feed column ``TickBatch``es, so every run here goes
+through the whole-tick ingest pass.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ from repro.serve import (
 from repro.streams import CollectingSink, EngineConfig, StreamEngine
 
 QUERY_RANGE = (120.0, 120.0)
-
-SCUBA_VARIANTS = {
-    "plain": {},
-    "batched": {"batched_ingest": True},
-}
-
 
 def workload_spec(seed: int = 11) -> dict:
     return generator_spec(
@@ -68,18 +63,14 @@ def drive(engine, source, intervals: int, bridge: QueuedTickSource) -> None:
     asyncio.run(pump())
 
 
-def build_serial(bridge, scuba_kwargs):
-    return StreamEngine(
-        bridge, Scuba(ScubaConfig(**scuba_kwargs)), CollectingSink(), EngineConfig()
-    )
+def build_serial(bridge):
+    return StreamEngine(bridge, Scuba(ScubaConfig()), CollectingSink(), EngineConfig())
 
 
-def build_sharded(bridge, scuba_kwargs):
+def build_sharded(bridge):
     return ShardedEngine(
         bridge,
-        ScubaShardFactory(
-            ScubaConfig(**scuba_kwargs), max_query_extent=QUERY_RANGE
-        ),
+        ScubaShardFactory(ScubaConfig(), max_query_extent=QUERY_RANGE),
         shards=4,
         sink=CollectingSink(),
         config=EngineConfig(),
@@ -103,12 +94,10 @@ def hotspot_spec(seed: int = 7) -> dict:
     )
 
 
-def build_adaptive(bridge, scuba_kwargs):
+def build_adaptive(bridge):
     return ShardedEngine(
         bridge,
-        ScubaShardFactory(
-            ScubaConfig(**scuba_kwargs), max_query_extent=QUERY_RANGE
-        ),
+        ScubaShardFactory(ScubaConfig(), max_query_extent=QUERY_RANGE),
         shards=4,
         sink=CollectingSink(),
         config=EngineConfig(),
@@ -123,15 +112,12 @@ def answers(engine):
     return sorted(engine.sink.all_matches)
 
 
-@pytest.mark.parametrize("variant", sorted(SCUBA_VARIANTS))
 @pytest.mark.parametrize("build", [build_serial, build_sharded],
                          ids=["serial", "sharded"])
-def test_resume_matches_uninterrupted(tmp_path, build, variant):
-    scuba_kwargs = SCUBA_VARIANTS[variant]
-
+def test_resume_matches_uninterrupted(tmp_path, build):
     # Reference: 6 uninterrupted intervals.
     ref_bridge = QueuedTickSource()
-    ref_engine = build(ref_bridge, scuba_kwargs)
+    ref_engine = build(ref_bridge)
     drive(ref_engine, build_source(workload_spec()), 6, ref_bridge)
     ref_answers = answers(ref_engine)
     ref_digest = engine_state_digest(ref_engine)
@@ -139,7 +125,7 @@ def test_resume_matches_uninterrupted(tmp_path, build, variant):
 
     # Interrupted run: 3 intervals, snapshot, die.
     bridge_a = QueuedTickSource()
-    engine_a = build(bridge_a, scuba_kwargs)
+    engine_a = build(bridge_a)
     drive(engine_a, build_source(workload_spec()), 3, bridge_a)
     first_half = answers(engine_a)
     path = save_snapshot(
@@ -157,7 +143,7 @@ def test_resume_matches_uninterrupted(tmp_path, build, variant):
     envelope = load_snapshot(path)
     cursor = envelope["cursor"]
     bridge_b = QueuedTickSource(ticks_consumed=cursor)
-    engine_b = build(bridge_b, scuba_kwargs)
+    engine_b = build(bridge_b)
     engine_b.restore_state(envelope["engine_state"])
     source = build_source(envelope["source_spec"], skip_ticks=cursor)
     drive(engine_b, source, 3, bridge_b)
@@ -169,16 +155,13 @@ def test_resume_matches_uninterrupted(tmp_path, build, variant):
         engine_b.close()
 
 
-@pytest.mark.parametrize("variant", sorted(SCUBA_VARIANTS))
-def test_adaptive_resume_matches_uninterrupted(tmp_path, variant):
+def test_adaptive_resume_matches_uninterrupted(tmp_path):
     """Kill-and-resume with adaptive sharding: the snapshot is taken
     *after* at least one reshard, the resumed engine must restore the
     adapted plan (same epoch, not the epoch-0 tiling) and the stitched
     answers plus final digest must match an uninterrupted run."""
-    scuba_kwargs = SCUBA_VARIANTS[variant]
-
     ref_bridge = QueuedTickSource()
-    ref_engine = build_adaptive(ref_bridge, scuba_kwargs)
+    ref_engine = build_adaptive(ref_bridge)
     drive(ref_engine, build_source(hotspot_spec()), 6, ref_bridge)
     ref_answers = answers(ref_engine)
     ref_digest = engine_state_digest(ref_engine)
@@ -186,7 +169,7 @@ def test_adaptive_resume_matches_uninterrupted(tmp_path, variant):
     assert ref_answers, "workload must produce matches for the test to bite"
 
     bridge_a = QueuedTickSource()
-    engine_a = build_adaptive(bridge_a, scuba_kwargs)
+    engine_a = build_adaptive(bridge_a)
     drive(engine_a, build_source(hotspot_spec()), 3, bridge_a)
     assert engine_a.plan_epoch > 0, (
         "the hotspot workload must trigger a reshard before the snapshot, "
@@ -207,7 +190,7 @@ def test_adaptive_resume_matches_uninterrupted(tmp_path, variant):
     envelope = load_snapshot(path)
     cursor = envelope["cursor"]
     bridge_b = QueuedTickSource(ticks_consumed=cursor)
-    engine_b = build_adaptive(bridge_b, scuba_kwargs)
+    engine_b = build_adaptive(bridge_b)
     engine_b.restore_state(envelope["engine_state"])
     # The adapted plan came back, not a fresh epoch-0 tiling.
     assert engine_b.plan_epoch == snap_epoch
@@ -226,13 +209,13 @@ def test_adaptive_resume_matches_uninterrupted(tmp_path, variant):
 def test_restored_run_stats_continue(tmp_path):
     """Interval accounting carries across the restore, not just answers."""
     bridge = QueuedTickSource()
-    engine = build_serial(bridge, {})
+    engine = build_serial(bridge)
     drive(engine, build_source(workload_spec()), 2, bridge)
     state = engine.snapshot_state()
     cursor = bridge.ticks_consumed
 
     bridge2 = QueuedTickSource(ticks_consumed=cursor)
-    engine2 = build_serial(bridge2, {})
+    engine2 = build_serial(bridge2)
     engine2.restore_state(state)
     assert engine2.stats.interval_count == 2
     drive(engine2, build_source(workload_spec(), skip_ticks=cursor), 1, bridge2)
@@ -252,11 +235,12 @@ def test_snapshot_envelope_rejects_foreign_files(tmp_path):
         load_snapshot(tmp_path / "missing.pkl")
 
 
-@pytest.mark.parametrize("version", [1, SNAPSHOT_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, SNAPSHOT_VERSION + 1])
 def test_snapshot_envelope_rejects_other_versions(tmp_path, version):
-    """Version 1 envelopes could carry columnar clusters and a
-    ``ScubaConfig`` with since-removed fields; they are refused like
-    future ones, by the version line, before anything is restored."""
+    """Version 1 envelopes could carry columnar clusters, version 2 ones a
+    ``ScubaConfig`` with the since-removed batched-ingest switch; they
+    are refused like future ones, by the version line, before anything is
+    restored."""
     path = save_snapshot(tmp_path / "snap.pkl", {"cursor": 0})
     envelope = pickle.loads(path.read_bytes())
     envelope["version"] = version
@@ -275,25 +259,29 @@ def test_snapshot_naming_a_removed_class_is_refused_cleanly(tmp_path):
         load_snapshot(path)
 
 
-def test_resume_from_version_1_exits_with_one_line(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_resume_from_an_older_version_exits_with_one_line(tmp_path, version):
     from repro.serve.__main__ import main
 
     path = save_snapshot(tmp_path / "snap.pkl", {"cursor": 0})
     envelope = pickle.loads(path.read_bytes())
-    envelope["version"] = 1
+    envelope["version"] = version
     path.write_bytes(pickle.dumps(envelope))
     with pytest.raises(SystemExit) as exit_info:
         main(["--resume", str(path)])
     message = str(exit_info.value)
-    assert "snapshot version 1, this build reads version 2" in message
+    assert (
+        f"snapshot version {version}, this build reads version "
+        f"{SNAPSHOT_VERSION}" in message
+    )
     assert "\n" not in message
 
 
 def test_state_digest_tracks_operator_state():
     """Identically driven operators digest equal; divergent ones do not."""
     bridge_a, bridge_b = QueuedTickSource(), QueuedTickSource()
-    a = build_serial(bridge_a, {})
-    b = build_serial(bridge_b, {})
+    a = build_serial(bridge_a)
+    b = build_serial(bridge_b)
     drive(a, build_source(workload_spec()), 2, bridge_a)
     drive(b, build_source(workload_spec()), 2, bridge_b)
     assert state_digest(a.operator) == state_digest(b.operator)

@@ -126,6 +126,14 @@ class TestServiceEquivalence:
         assert 10 <= summary["counters"]["bp_ticks_admitted"] <= 10 + 4 + 1
         assert summary["counters"]["bp_ticks_dropped"] == 0
         assert summary["counters"]["bp_level"] == 0
+        # The summary carries ingest's row outcomes; the service fed
+        # column batches, so these came from the whole-tick pass.
+        assert sum(
+            summary["counters"][key]
+            for key in ("ingest_heartbeats", "ingest_refreshes",
+                        "ingest_reclustered", "ingest_new")
+        ) == engine.operator.clusterer.processed > 0
+        assert "grid_reregistrations" in summary["counters"]
 
     def test_event_stream_shape(self):
         events = []

@@ -29,7 +29,7 @@ def apply_policy(policy, cluster, update):
     import math
 
     dist = math.hypot(update.loc.x - cluster.cx, update.loc.y - cluster.cy)
-    policy.apply(cluster, update, dist)
+    policy.apply(cluster, update.entity_id, update.kind, dist)
 
 
 class TestNoShedding:
