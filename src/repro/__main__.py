@@ -193,8 +193,8 @@ def print_cache_footer(counters: dict) -> None:
         f"refreshes {counters.get('ingest_refreshes', 0)} | "
         f"reclustered {counters.get('ingest_reclustered', 0)} | "
         f"new {counters.get('ingest_new', 0)} | "
-        f"grid re-registrations {counters.get('grid_reregistrations', 0)} "
-        f"(+{counters.get('grid_refresh_skips', 0)} refreshes skipped)"
+        f"centroid index cell moves {counters.get('grid_reregistrations', 0)} "
+        f"(+{counters.get('grid_refresh_skips', 0)} writes in place)"
     )
 
 

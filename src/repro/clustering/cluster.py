@@ -39,7 +39,7 @@ approximation of their whereabouts.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from ..generator import EntityKind, Update
 from ..geometry import Circle, Point, PolarCoord, to_polar
@@ -139,7 +139,6 @@ class MovingCluster:
         "max_query_half_diag",
         "nucleus_radius",
         "shed_count",
-        "grid_cells",
         "last_moved",
         "successors",
     )
@@ -183,9 +182,6 @@ class MovingCluster:
         self.nucleus_radius = 0.0
         #: Number of members whose positions have been load shed.
         self.shed_count = 0
-        #: Grid cells this cluster is currently registered in (maintained by
-        #: the ClusterGrid; stored here to avoid a second lookup table).
-        self.grid_cells: Tuple[int, ...] = ()
         #: Simulation time up to which the cluster has been advanced along
         #: its velocity vector (see :meth:`advance_to`).
         self.last_moved = now
@@ -229,16 +225,6 @@ class MovingCluster:
     def circle(self) -> Circle:
         """The cluster's circular footprint."""
         return Circle(self.centroid, self.radius)
-
-    def filter_circle(self) -> Circle:
-        """Footprint inflated by the widest member query window.
-
-        Using this circle in join-between guarantees the pre-filter never
-        prunes a cluster pair that could produce a match: a query member
-        sitting exactly on the cluster boundary still reaches
-        ``max_query_half_diag`` beyond it.
-        """
-        return Circle(self.centroid, self.radius + self.max_query_half_diag)
 
     def members(self) -> Iterator[ClusterMember]:
         """All members, objects first (deterministic order)."""
@@ -493,8 +479,8 @@ class MovingCluster:
         """A query member re-reported with a different window.
 
         The cluster's reach grows with a wider window and is recomputed
-        when the widest member shrank; callers bump ``version`` and
-        refresh the grid (the registered cover depends on the reach).
+        when the widest member shrank; callers bump ``version``, which is
+        all the join's per-interval footprint build needs.
         """
         old = member.half_diag
         member.range_width = width

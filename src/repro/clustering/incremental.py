@@ -6,7 +6,7 @@ data set, no re-clustering when the evaluation interval expires.  The
 algorithm is the paper's five-step adaptation of Leader-Follower
 clustering:
 
-1. probe the ClusterGrid around the update's position for candidate
+1. probe the centroid index around the update's position for candidate
    clusters;
 2. no candidates → the entity forms its own single-member cluster;
 3. otherwise test each candidate's three admission conditions — same
@@ -74,6 +74,8 @@ class IncrementalClusterer:
     def ingest(self, update: Update) -> MovingCluster:
         """Assign ``update`` to a moving cluster; returns that cluster."""
         world = self.world
+        grid = world.grid
+        grid.note_time(update.t)
         current_cid = world.home.cluster_of(update.entity_id, update.kind)
         if current_cid is None:
             return self._recluster(update, None)
@@ -83,37 +85,37 @@ class IncrementalClusterer:
         current.advance_to(update.t)
         if not self._qualifies(update, current, ignore_self=True):
             return self._recluster(update, current)
-        # Fast path: the entity stays in its cluster.  Its home entry is
-        # already correct, so absorb + grid refresh is all that is needed
-        # — this is the per-update steady state.
+        # Fast path: the entity stays in its cluster.  Only a singleton's
+        # centroid moves (it follows its entity) and is placed again; a
+        # larger cluster just reports a speed the index must bound.
         version = current.version
         current.absorb(update)
         if current.version == version:
             self.heartbeats += 1
         else:
             self.refreshes += 1
-        world.grid.refresh(current)
+            if len(current.objects) + len(current.queries) == 1:
+                grid.place(current)
+            elif current.avespeed > grid.max_speed:
+                grid.max_speed = current.avespeed
         return current
 
     def ingest_tick(self, batch: TickBatch, shedding=None) -> None:
         """Cluster one whole tick straight off its columns.
 
-        Leaves every cluster, member, home and grid field exactly as a
+        Leaves every cluster, member, home and index field exactly as a
         loop of :meth:`ingest` over ``batch``'s rows would (each followed
         by ``shedding.apply`` when a policy is given — the second half of
         ``Scuba.on_update``), without building an ``Update`` for the rows
         that stay in their cluster.  For those, the admission test of
-        :meth:`_qualifies`, the refresh branch of
-        :meth:`MovingCluster.absorb` and the containment branch of
-        :meth:`ClusterGrid.refresh` are repeated here in place, on
+        :meth:`_qualifies` and the refresh branch of
+        :meth:`MovingCluster.absorb` are repeated here in place, on
         purpose: the stay decision is taken for ~95 % of convoy traffic
         and its call chain cost more than its work.  Rows run strictly in
         arrival order against the live cluster fields, so a leave / new
         row that moves a centroid or an average speed is seen by every
-        later row of that cluster, and containment is checked on every
-        row that bumps the version — the rows where the reference could
-        re-register.  Leave / new / node-crossing rows materialise their
-        ``Update`` and take :meth:`_recluster`.
+        later row of that cluster.  Leave / new / node-crossing rows
+        materialise their ``Update`` and take :meth:`_recluster`.
         """
         world = self.world
         spec = self.spec
@@ -121,12 +123,8 @@ class IncrementalClusterer:
         home_get = world.home.key_map().get
         clusters = world.storage.cid_map()
         grid = world.grid
-        grid_refresh = grid.refresh
-        # The containment check below is ClusterGrid.refresh with the
-        # version early-out resolved; cover_maps() states the layouts.
-        registered, verified = grid.cover_maps()
-        registered_get = registered.get
-        verified_get = verified.get
+        grid.note_time(t)
+        place = grid.place
         recluster = self._recluster
         require_dest = spec.require_same_destination
         max_d = spec.theta_d * spec.eviction_slack
@@ -134,7 +132,7 @@ class IncrementalClusterer:
         max_ds = spec.theta_s * spec.eviction_slack
         xs, ys, speeds, cn_xs, cn_ys, ws, hs = batch._scalar_columns()
         sqrt = math.sqrt
-        heartbeats = refreshes = skips = 0
+        heartbeats = refreshes = 0
         for i, key, eid, is_obj, x, y, speed, cn in zip(
             count(), batch.keys, batch.ids, batch.kinds, xs, ys, speeds, batch.cns
         ):
@@ -149,10 +147,8 @@ class IncrementalClusterer:
                 objects = cluster.objects
                 queries = cluster.queries
                 n = len(objects) + len(queries)
-                cx = cluster.cx
-                cy = cluster.cy
-                dx = x - cx
-                dy = y - cy
+                dx = x - cluster.cx
+                dy = y - cluster.cy
                 d_sq = dx * dx + dy * dy
                 if (require_dest and cn != cluster.cn_node) or (
                     # A single-member cluster is its own average.
@@ -182,22 +178,16 @@ class IncrementalClusterer:
                     ):
                         heartbeats += 1
                         member.last_t = t
-                        if verified_get(cid) == (
-                            cluster.version, cx, cy, cluster.radius
-                        ):
-                            skips += 1
-                        else:
-                            grid_refresh(cluster)
                     else:
                         refreshes += 1
-                        version = cluster.version = cluster.version + 1
+                        cluster.version += 1
                         if member.position_shed:
                             member.position_shed = False
                             cluster.shed_count -= 1
                         speed_sum = cluster._speed_sum = cluster._speed_sum + (
                             speed - m_speed
                         )
-                        cluster.avespeed = speed_sum / n
+                        avespeed = cluster.avespeed = speed_sum / n
                         member.speed = speed
                         member.abs_x = x
                         member.abs_y = y
@@ -215,28 +205,17 @@ class IncrementalClusterer:
                             cluster.resize_window(member, ws[i], hs[i])
                         if n == 1:
                             # A single-member cluster follows its entity.
-                            cx = cluster.cx = x
-                            cy = cluster.cy = y
-                            radius = cluster.radius = 0.0
+                            cluster.cx = x
+                            cluster.cy = y
+                            cluster.radius = 0.0
                             cluster.update_expiry(t)
+                            place(cluster)
                         else:
+                            if avespeed > grid.max_speed:
+                                grid.max_speed = avespeed
                             radius = cluster.radius
                             if d_sq > radius * radius:
-                                radius = cluster.radius = sqrt(d_sq)
-                        # The version moved, so the early-out cannot fire.
-                        reg = registered_get(cid)
-                        if reg is None:
-                            # Not registered: refresh registers it.
-                            grid_refresh(cluster)
-                        else:
-                            gx = cx - reg[0]
-                            gy = cy - reg[1]
-                            if (gx * gx + gy * gy) ** 0.5 + (
-                                radius + cluster.max_query_half_diag
-                            ) <= reg[2]:
-                                verified[cid] = (version, cx, cy, radius)
-                            else:
-                                grid_refresh(cluster)
+                                cluster.radius = sqrt(d_sq)
             if shedding is not None:
                 shedding.apply(
                     cluster,
@@ -246,7 +225,6 @@ class IncrementalClusterer:
                 )
         self.heartbeats += heartbeats
         self.refreshes += refreshes
-        grid.refresh_skips += skips
 
     def _recluster(
         self, update: Update, current: Optional[MovingCluster]
@@ -336,41 +314,42 @@ class IncrementalClusterer:
         return None
 
     def _find_cluster(self, update: Update) -> Optional[MovingCluster]:
-        """Steps 1 and 3: grid probe, then nearest qualifying candidate.
+        """Steps 1 and 3: index probe, then nearest qualifying candidate.
 
-        Candidates are scanned in one pass straight off the grid cells with
-        a ``(dist, cid)`` min-key — equivalent to the sort-by-cid +
-        strictly-closer scan it replaces (ascending-cid iteration with a
-        strict ``<`` keeps the lowest cid among distance ties, i.e. the
-        lexicographic minimum) without materialising and sorting the
-        candidate set per probe.
+        The centroid index hands out every cluster whose advanced centroid
+        may lie within Θ_D, each once; candidates bound for the update's
+        destination are advanced to its time and scanned with a
+        ``(dist, cid)`` min-key, so the choice is the nearest qualifying
+        cluster with ties to the lowest cid — what a scan over every live
+        cluster would pick.
         """
-        world = self.world
         spec = self.spec
-        storage = world.storage
-        grid = world.grid
+        grid = self.world.grid
+        clusters = self.world.storage.cid_map()
+        t = update.t
+        grid.note_time(t)
         loc = update.loc
+        x = loc.x
+        y = loc.y
+        theta_d = spec.theta_d
+        theta_s = spec.theta_s
+        speed = update.speed
+        require_dest = spec.require_same_destination
+        cn = update.cn_node
         best: Optional[MovingCluster] = None
         best_key: Optional[tuple] = None
-        seen: set = set()
-        for cell in grid.cells_for_circle(loc.x, loc.y, spec.theta_d):
-            for cid in grid.members(cell):
-                if cid in seen:
-                    continue
-                seen.add(cid)
-                cluster = storage.get(cid)
-                if spec.require_same_destination and (
-                    update.cn_node != cluster.cn_node
-                ):
-                    continue
-                cluster.advance_to(update.t)
-                dist = math.hypot(loc.x - cluster.cx, loc.y - cluster.cy)
-                if dist > spec.theta_d:
-                    continue
-                if abs(update.speed - cluster.avespeed) > spec.theta_s:
-                    continue
-                key = (dist, cid)
-                if best_key is None or key < best_key:
-                    best = cluster
-                    best_key = key
+        for cid in grid.probe(x, y, theta_d):
+            cluster = clusters[cid]
+            if require_dest and cn != cluster.cn_node:
+                continue
+            cluster.advance_to(t)
+            dist = math.hypot(x - cluster.cx, y - cluster.cy)
+            if dist > theta_d:
+                continue
+            if abs(speed - cluster.avespeed) > theta_s:
+                continue
+            key = (dist, cid)
+            if best_key is None or key < best_key:
+                best = cluster
+                best_key = key
         return best

@@ -10,17 +10,20 @@ because the incremental clusterer is their primary writer:
   (a moving entity belongs to exactly one cluster at a time);
 * **ClusterGrid** — "a spatial grid table dividing the data space into N×N
   grid cells [holding] for each grid cell a list of cluster ids of moving
-  clusters that overlap with that cell".
+  clusters that overlap with that cell" — split by reader: the join
+  rebuilds those cells every interval (DESIGN.md §8) and the clusterer's
+  probe keeps a centroid index here (one cell per cluster, §9).
 
 :class:`ClusterWorld` is a thin facade bundling the three with the
-operations that must touch them together (create, register, relocate,
+operations that must touch them together (create, absorb, evict,
 dissolve), so the clusterer and SCUBA's post-join maintenance cannot get
 them out of sync.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Dict, Iterator, List, Optional
 
 from ..generator import EntityKind
 from ..geometry import Point, Rect
@@ -109,119 +112,110 @@ class ClusterHome:
 
 
 class ClusterGrid(SpatialGrid):
-    """A :class:`SpatialGrid` whose members are cluster ids.
+    """The clusterer's probe index: each cluster id in its centroid's cell.
 
-    Clusters are registered in every cell a *slack-inflated* version of
-    their footprint (:meth:`MovingCluster.filter_circle`) overlaps, so that
-    any two clusters whose filter circles intersect are guaranteed to share
-    at least one grid cell — the property the cell-by-cell join-between
-    sweep relies on.
-
-    The slack (half a cell) means a cluster that grows or drifts slightly
-    stays covered by its existing registration; :meth:`refresh` then
-    becomes a single containment check on the hot ingest path instead of a
-    cell recomputation per location update.  Registration is therefore a
-    *superset* of the exact footprint — harmless, because every candidate
-    pair still passes through the exact join-between test.
+    Every centroid *write* (absorb, evict, recentre, split, a singleton
+    following its entity) calls :meth:`place`, which moves the entry only
+    when the cell changed.  The lazy :meth:`MovingCluster.advance_to` does
+    not write: a cluster placed at time ``w`` has since drifted at most
+    ``avespeed × (horizon − w)``, ``horizon`` being the latest time any
+    cluster may have been advanced to (:meth:`note_time`).  :meth:`probe`
+    widens its cell range by that bound over all entries — ``max_speed``
+    (callers that change a speed without a write raise it) times
+    ``horizon − floor``, ``floor`` the oldest write, reset by
+    :meth:`rebase` once maintenance has re-placed every cluster — so it
+    returns a superset of the clusters within reach by construction.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # (center_x, center_y, inflated_radius) registered per cluster id.
-        self._registered: Dict[int, Tuple[float, float, float]] = {}
-        # (version, cx, cy, radius) at the last refresh that verified
-        # containment: while those are unchanged the containment verdict
-        # cannot have changed, so refresh is a guaranteed no-op.  Parked
-        # convoys from ``--stopped-fraction`` heartbeat without moving,
-        # turning their per-update refresh into a dict probe plus three
-        # equality compares — no sqrt, no re-registration arithmetic.
-        self._verified: Dict[int, Tuple[int, float, float, float]] = {}
-        #: Refresh calls answered by the version early-out (diagnostics).
+    def __init__(self, bounds: Rect, cell_edge: float) -> None:
+        super().__init__(
+            bounds,
+            max(1, math.ceil(bounds.width / cell_edge)),
+            max(1, math.ceil(bounds.height / cell_edge)),
+        )
+        #: cid -> its cell.
+        self._cell_of: Dict[int, int] = {}
+        #: Largest ``avespeed`` any cluster has had.
+        self.max_speed = 0.0
+        #: No entry was written before this time (None: nothing placed).
+        self.floor: Optional[float] = None
+        #: No cluster has been advanced past this time.
+        self.horizon = -math.inf
+        #: Centroid writes that stayed in their cell.
         self.refresh_skips = 0
-        #: Refresh calls whose footprint escaped the cover and forced a
-        #: new cell registration.
+        #: Centroid writes that moved the entry to another cell.
         self.reregistrations = 0
-        self._slack = 0.5 * min(
-            self.bounds.width / self.nx, self.bounds.height / self.ny
-        )
 
-    def register(self, cluster: MovingCluster) -> None:
-        cx, cy = cluster.cx, cluster.cy
-        radius = cluster.radius + cluster.max_query_half_diag + self._slack
-        cells = tuple(self.cells_for_circle(cx, cy, radius))
-        self.insert(cluster.cid, cells)
-        cluster.grid_cells = cells
-        self._registered[cluster.cid] = (cx, cy, radius)
-        self._verified[cluster.cid] = (
-            cluster.version, cx, cy, cluster.radius
-        )
-
-    def cover_maps(
-        self,
-    ) -> Tuple[
-        Dict[int, Tuple[float, float, float]],
-        Dict[int, Tuple[int, float, float, float]],
-    ]:
-        """The ``(registered, verified)`` tables themselves.
-
-        Contract, shared with the one outside reader
-        (``IncrementalClusterer.ingest_tick``, which repeats
-        :meth:`refresh`'s containment branch in place): ``registered[cid]``
-        is ``(center_x, center_y, inflated_radius)`` of the circle whose
-        cells the cluster occupies, slack already included;
-        ``verified[cid]`` is ``(version, cx, cy, radius)`` at the last
-        check that found the footprint inside that circle.  A reader may
-        store a new ``verified`` row after making that same check; only
-        :meth:`register` / :meth:`unregister` write ``registered``.
-        """
-        return self._registered, self._verified
-
-    def refresh(self, cluster: MovingCluster) -> None:
-        """Re-register if the footprint escaped its slack-inflated cover.
-
-        ``IncrementalClusterer.ingest_tick`` carries a copy of the early-out
-        and of the containment test below (through :meth:`cover_maps`):
-        change the arithmetic or a tuple layout here and there together.
-        """
+    def place(self, cluster: MovingCluster) -> None:
+        """Record ``cluster``'s current centroid, speed and time."""
         cid = cluster.cid
-        if self._verified.get(cid) == (
-            cluster.version, cluster.cx, cluster.cy, cluster.radius
-        ):
-            # Verified unchanged since the last containment check: the
-            # covering cells are still a superset of the footprint.
+        cell = self.cell_of(cluster.cx, cluster.cy)
+        old = self._cell_of.get(cid)
+        if old == cell:
             self.refresh_skips += 1
-            return
-        reg = self._registered.get(cid)
-        if reg is not None:
-            # Still inside the registered circle? Then the registered cells
-            # cover every cell the exact footprint touches.  Runs for every
-            # location update — plain float math, no temporaries.
-            dx = cluster.cx - reg[0]
-            dy = cluster.cy - reg[1]
-            needed_r = cluster.radius + cluster.max_query_half_diag
-            if (dx * dx + dy * dy) ** 0.5 + needed_r <= reg[2]:
-                self._verified[cid] = (
-                    cluster.version, cluster.cx, cluster.cy, cluster.radius
-                )
-                return
-            self.remove(cid, cluster.grid_cells)
-            self.reregistrations += 1
-        self.register(cluster)
+        else:
+            if old is not None:
+                self.remove(cid, (old,))
+                self.reregistrations += 1
+            self.insert(cid, (cell,))
+            self._cell_of[cid] = cell
+        if cluster.avespeed > self.max_speed:
+            self.max_speed = cluster.avespeed
+        if self.floor is None or cluster.last_moved < self.floor:
+            self.floor = cluster.last_moved
 
-    def unregister(self, cluster: MovingCluster) -> None:
-        self.remove(cluster.cid, cluster.grid_cells)
-        cluster.grid_cells = ()
-        self._registered.pop(cluster.cid, None)
-        self._verified.pop(cluster.cid, None)
+    def drop(self, cid: int) -> None:
+        """Forget a dissolved cluster (no-op when absent)."""
+        cell = self._cell_of.pop(cid, None)
+        if cell is not None:
+            self.remove(cid, (cell,))
+
+    def note_time(self, t: float) -> None:
+        """Clusters may be advanced to ``t`` from now on."""
+        if t > self.horizon:
+            self.horizon = t
+
+    def rebase(self, now: float) -> None:
+        """Every live cluster was just advanced to ``now`` and placed."""
+        self.floor = now
+        self.note_time(now)
+
+    def probe(self, x: float, y: float, reach: float) -> Iterator[int]:
+        """Ids of every cluster whose centroid, advanced up to the horizon,
+        may lie within ``reach`` of ``(x, y)`` — a superset; the caller
+        advances and tests each candidate exactly."""
+        if self.floor is not None and self.horizon > self.floor:
+            reach += self.max_speed * (self.horizon - self.floor)
+        # Rounding margin: advance() and this arithmetic are exact to a
+        # few ulps of the coordinates in play.
+        reach += 1e-9 * (1.0 + reach + abs(x) + abs(y))
+        cells = self._cells
+        col_lo = self._col(x - reach)
+        col_hi = self._col(x + reach) + 1
+        for row in range(self._row(y - reach), self._row(y + reach) + 1):
+            base = row * self.nx
+            for cell in range(base + col_lo, base + col_hi):
+                bucket = cells.get(cell)
+                if bucket is not None:
+                    yield from bucket
+
+    def entries(self) -> Dict[int, int]:
+        """The cid → cell table itself (treat as read-only)."""
+        return self._cell_of
 
 
 class ClusterWorld:
-    """Facade keeping storage, home and grid mutually consistent."""
+    """Facade keeping storage, home and the centroid index consistent.
 
-    def __init__(self, bounds: Rect, grid_size: int) -> None:
+    Index cells have edge 2·Θ_D (a probe drifting at most Θ_D spans 3×3),
+    never finer than the N×N join grid (a tiny Θ_D walks no more cells).
+    """
+
+    def __init__(self, bounds: Rect, theta_d: float = 100.0, grid_size: int = 100) -> None:
         self.storage = ClusterStorage()
         self.home = ClusterHome()
-        self.grid = ClusterGrid(bounds, grid_size)
+        edge = max(bounds.width, bounds.height) / grid_size
+        self.grid = ClusterGrid(bounds, max(2.0 * theta_d, edge))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -236,9 +230,13 @@ class ClusterWorld:
             cn_loc=cn_loc,
             now=now,
         )
-        self.storage.add(cluster)
-        self.grid.register(cluster)
+        self.add(cluster)
         return cluster
+
+    def add(self, cluster: MovingCluster) -> None:
+        """File a cluster built outside the clusterer (the k-means baseline)."""
+        self.storage.add(cluster)
+        self.grid.place(cluster)
 
     def dissolve(self, cluster: MovingCluster) -> None:
         """Remove a cluster and every trace of its membership."""
@@ -246,26 +244,26 @@ class ClusterWorld:
             self.home.release(member.entity_id, member.kind)
         cluster.objects.clear()
         cluster.queries.clear()
-        self.grid.unregister(cluster)
+        self.grid.drop(cluster.cid)
         self.storage.pop(cluster.cid)
 
     # -- membership ----------------------------------------------------------
 
     def absorb(self, cluster: MovingCluster, update) -> None:
-        """Absorb ``update`` into ``cluster`` and keep home/grid in sync."""
+        """Absorb ``update`` into ``cluster`` and keep home/index in sync."""
         cluster.absorb(update)
         self.home.assign(update.entity_id, update.kind, cluster.cid)
-        self.grid.refresh(cluster)
+        self.grid.place(cluster)
 
     def evict(self, cluster: MovingCluster, entity_id: int, kind: EntityKind) -> None:
         """Remove one member; dissolve the cluster if it becomes empty."""
         cluster.remove(entity_id, kind)
         self.home.release(entity_id, kind)
         if cluster.is_empty:
-            self.grid.unregister(cluster)
+            self.grid.drop(cluster.cid)
             self.storage.pop(cluster.cid)
         else:
-            self.grid.refresh(cluster)
+            self.grid.place(cluster)
 
     @property
     def cluster_count(self) -> int:

@@ -61,7 +61,8 @@ def split_cluster(
             continue
         mean_x = sum(m.abs_x for m in positioned) / len(positioned)
         mean_y = sum(m.abs_y for m in positioned) / len(positioned)
-        successor = world.create_cluster(
+        successor = MovingCluster(
+            cid=world.storage.allocate_cid(),
             centroid=Point(mean_x, mean_y),
             cn_node=cn_node,
             cn_loc=Point(positioned[0].cn_x, positioned[0].cn_y),
@@ -71,7 +72,8 @@ def split_cluster(
             successor.adopt(member)
             transferred.append((member, successor))
         _finalise(successor, now)
-        world.grid.refresh(successor)
+        # Filed once complete, so the index sees its final speed.
+        world.add(successor)
         successors.append(successor)
 
     # Detach transferred members from the original before dissolving it, so

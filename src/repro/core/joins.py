@@ -199,34 +199,6 @@ class ClusterJoinView:
         self.scratch: Dict[str, object] = {}
 
     @property
-    def exact_objects(self) -> List[Tuple[int, float, float]]:
-        """Row view of the exact-object columns (compatibility accessor)."""
-        return list(zip(self.obj_ids, self.obj_xs, self.obj_ys))
-
-    @property
-    def exact_queries(self) -> List[Tuple[int, float, float, float, float]]:
-        """Row view of the exact-query columns (compatibility accessor)."""
-        return list(
-            zip(
-                self.query_ids,
-                self.query_xs,
-                self.query_ys,
-                self.query_hws,
-                self.query_hhs,
-            )
-        )
-
-    @property
-    def shed_free(self) -> bool:
-        """No shed members: every predicate case but exact×exact is empty.
-
-        The macro-batched sweep queues shed-free views as segments for one
-        fused ``join_segments`` call; any shed member forces the per-pair
-        kernel sequencing (the shed cases are per-group scalar tests).
-        """
-        return not (self.shed_object_ids or self.shed_query_groups)
-
-    @property
     def has_objects(self) -> bool:
         return bool(self.obj_ids or self.shed_object_ids)
 

@@ -10,12 +10,16 @@ operations (DESIGN.md §8):
   (centroid, radius, widest query half-diagonal, has-objects/has-queries
   flags), synced incrementally by version stamp once per sweep, so the
   filter inputs need no per-pair attribute walks;
-* packed-key candidate enumeration — every multi-member grid cell
-  contributes its ``(cid_l << 32) | cid_r`` pair keys (cids are
-  monotonically allocated ``int`` well below 2³², and row-sorted cells
-  guarantee ``cid_l < cid_r``), deduplicated in **first-seen sweep
-  order** with one ``np.unique`` — the canonical order: cells in flat
-  index order, members ascending within a cell;
+* the per-interval footprint build — every live cluster's N×N grid
+  cells, straight from the registry columns
+  (:meth:`~repro.index.SpatialGrid.cells_for_circles`), as sorted
+  ``(cell, cid)`` rows: rebuilt, never maintained, so never stale;
+* packed-key candidate enumeration — every multi-member cell contributes
+  its ``(cid_l << 32) | cid_r`` pair keys (cids are monotonically
+  allocated ``int`` well below 2³², and the row sort guarantees
+  ``cid_l < cid_r``), deduplicated in **first-seen sweep order** with one
+  ``np.unique`` — the canonical order: cells in flat index order, members
+  ascending within a cell;
 * one vectorized join-between over all candidate pairs
   (:func:`pairs_between`);
 * :class:`PairVerdictCache` — the version-keyed between-verdict cache as
@@ -65,6 +69,7 @@ class ClusterSoA:
         "mqhd",
         "has_obj",
         "has_qry",
+        "live",
         "_arrays",
     )
 
@@ -77,14 +82,18 @@ class ClusterSoA:
         self.mqhd: List[float] = []
         self.has_obj: List[int] = []
         self.has_qry: List[int] = []
+        #: Rows of the clusters passed to the last :meth:`sync`, in order.
+        self.live = np.empty(0, dtype=np.int64)
         self._arrays: Optional[Tuple[Any, ...]] = None
 
     def __len__(self) -> int:
         return len(self.version)
 
     def sync(self, clusters) -> None:
-        """Refresh the columns of every changed cluster (cid order)."""
+        """Refresh the columns of every changed cluster (cid order) and
+        record the live rows."""
         if not clusters:
+            self.live = np.empty(0, dtype=np.int64)
             return
         base = self.base
         if base is None:
@@ -98,8 +107,11 @@ class ClusterSoA:
         has_qry = self.has_qry
         size = len(version)
         dirty = False
+        live: List[int] = []
+        append = live.append
         for cluster in clusters:
             idx = cluster.cid - base
+            append(idx)
             if idx >= size:
                 grow = idx + 1 - size
                 version.extend([-1] * grow)
@@ -121,6 +133,7 @@ class ClusterSoA:
                 has_obj[idx] = 1 if cluster.objects else 0
                 has_qry[idx] = 1 if cluster.queries else 0
                 dirty = True
+        self.live = np.asarray(live, dtype=np.int64)
         if dirty:
             self._arrays = None
 
@@ -241,7 +254,7 @@ class BatchJoinState:
     operator, which starts over with an empty one.
     """
 
-    __slots__ = ("soa", "cache", "watermark", "_triu")
+    __slots__ = ("soa", "cache", "watermark", "footprint_entries", "_triu")
 
     def __init__(self) -> None:
         self.soa = ClusterSoA()
@@ -250,37 +263,53 @@ class BatchJoinState:
         # surviving size, so stable runs never scan and memory stays
         # within 2x of the live pair population.
         self.watermark = 64
+        #: (cell, cluster) rows of the last footprint build — the paper's
+        #: ClusterGrid directory size (Fig. 9).
+        self.footprint_entries = 0
         self._triu: Dict[int, Tuple[Any, Any]] = {}
 
     def sweep(self, grid, use_filter: bool):
-        """Enumerate, dedup and filter this tick's candidate pairs.
+        """Build this interval's footprint cells on ``grid`` (the N×N
+        grid, geometry only), then enumerate, dedup and filter the
+        candidate pairs.
 
-        Returns ``((lcids, rcids), mixed_pairs, cache_hits,
-        cache_misses)``: the surviving pairs as parallel int64 cid columns
-        in canonical first-seen sweep order (empty lists when no cell
-        holds two clusters), the count of unique type-mixed pairs (the
-        logical between-test count), and the between-cache counter deltas
-        (both zero when ``use_filter`` is off — the filter never runs).
+        A cluster's footprint is its disc ``radius +
+        max_query_half_diag``, so two clusters that pass join-between
+        share a cell by construction.  Returns ``((lcids, rcids),
+        mixed_pairs, cache_hits, cache_misses)``: the surviving pairs as
+        parallel int64 cid columns in canonical first-seen sweep order
+        (empty lists when no cell holds two clusters), the count of unique
+        type-mixed pairs (the logical between-test count), and the
+        between-cache counter deltas (both zero when ``use_filter`` is
+        off — the filter never runs).
         """
-        # Flatten every multi-member cell into one cid array plus member
-        # counts (two C-speed calls per cell — the only Python-level loop
-        # of the sweep), then group equal-sized cells with argsort and
-        # scatter each group's pair keys from one fancy-indexing
-        # expression over a cached triu template.  Cells feed in raw
-        # bucket order; one vectorised row sort re-establishes the
-        # canonical ascending-cid member order without a per-cell sort.
-        flat: list = []
-        lens: List[int] = []
-        extend = flat.extend
-        append = lens.append
-        for bucket in grid.sweep_buckets():
-            extend(bucket)
-            append(len(bucket))
-        if not lens:
+        soa = self.soa
+        version, cx, cy, radius, mqhd, has_obj, has_qry = soa.arrays()
+        live = soa.live
+        self.footprint_entries = 0
+        if not live.size:
             return ([], []), 0, 0, 0
-        counts = np.asarray(lens, dtype=np.int64)
-        flat_arr = np.asarray(flat, dtype=np.int64)
-        starts = np.cumsum(counts) - counts
+        owners, cells = grid.cells_for_circles(
+            cx[live], cy[live], radius[live] + mqhd[live]
+        )
+        # (cell, cid) rows: cells in flat order, members ascending within
+        # a cell — the canonical sweep order.
+        rows = (cells << 32) | (live[owners] + soa.base)
+        rows.sort()
+        self.footprint_entries = int(rows.size)
+        cells = rows >> 32
+        flat_arr = rows & _CID_MASK
+        # Cut the rows into cells; cells of two or more clusters, grouped
+        # by size, scatter their pair keys from a cached triu template.
+        starts = np.flatnonzero(
+            np.concatenate(([True], cells[1:] != cells[:-1]))
+        )
+        counts = np.diff(np.append(starts, cells.size))
+        multi = counts >= 2
+        if not multi.any():
+            return ([], []), 0, 0, 0
+        starts = starts[multi]
+        counts = counts[multi]
         npairs = (counts * (counts - 1)) >> 1
         pair_starts = np.cumsum(npairs) - npairs
         total = int(pair_starts[-1] + npairs[-1])
@@ -299,7 +328,6 @@ class BatchJoinState:
             mat = flat_arr[
                 starts[cells_k][:, None] + np.arange(k, dtype=np.int64)
             ]
-            mat.sort(axis=1)
             keys = (mat[:, iu[0]] << 32) | mat[:, iu[1]]
             p = keys.shape[1]
             seq = (
@@ -313,8 +341,6 @@ class BatchJoinState:
             uk = uk[np.argsort(first, kind="stable")]
         else:
             uk = ordered
-        soa = self.soa
-        version, cx, cy, radius, mqhd, has_obj, has_qry = soa.arrays()
         il = (uk >> 32) - soa.base
         ir = (uk & _CID_MASK) - soa.base
         mix = (has_obj[il] & has_qry[ir]) | (has_qry[il] & has_obj[ir])
@@ -413,8 +439,7 @@ def _warm_numpy() -> None:
     np.concatenate((np.cumsum(a), a))
     np.fromiter((int(i) for i in range(4)), dtype=np.int64, count=4)
     np.asarray([1.0, 2.0], dtype=np.float64)
-    mat = a.reshape(4, 2).copy()
-    mat.sort(axis=1)
+    np.clip(f, 0, 4).astype(np.int64)
     slots = np.empty(8, dtype=np.int64)
     slots[0::2] = a[:4]
     slots[1::2] = a[:4]

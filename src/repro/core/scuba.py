@@ -56,6 +56,7 @@ from ..clustering import (
 )
 from ..generator import EntityKind, LocationUpdate, QueryUpdate, TickBatch, Update
 from ..geometry import Point, Rect
+from ..index import SpatialGrid
 from ..kernels import BACKEND_CHOICES, resolve_backend
 from ..network import DEFAULT_BOUNDS
 from ..shedding import AdaptiveShedder, NoShedding, SheddingPolicy
@@ -166,12 +167,13 @@ class Scuba(StagedJoinOperator):
         drift from construction (the seed re-called ``__init__``, which
         breaks under subclassing and re-validates config needlessly).
         """
-        self.world = ClusterWorld(self.config.bounds, self.config.grid_size)
+        cfg = self.config
+        self.world = ClusterWorld(cfg.bounds, cfg.theta_d, cfg.grid_size)
+        # The join's N×N grid: geometry only, cells rebuilt every join.
+        self.footprint_grid = SpatialGrid(cfg.bounds, cfg.grid_size)
         self.objects_table = ObjectsTable()
         self.queries_table = QueriesTable()
-        self.clusterer = IncrementalClusterer(
-            self.world, self.config.clustering_spec()
-        )
+        self.clusterer = IncrementalClusterer(self.world, cfg.clustering_spec())
         #: Table rows dropped by ``stale_after`` garbage collection.
         self.evicted_stale = 0
         self._shed_is_noop = isinstance(self.config.shedding, NoShedding)
@@ -181,14 +183,12 @@ class Scuba(StagedJoinOperator):
         # exact member columns) keys off the whole run's history, not the
         # current policy.
         self._ever_shed = not self._shed_is_noop
-        if self.config.adaptive_shedding:
-            ladder = self.config.shed_ladder
+        if cfg.adaptive_shedding:
+            ladder = cfg.shed_ladder
             self.shedder: Optional[AdaptiveShedder] = (
-                AdaptiveShedder(self.config.theta_d, self.config.shed_budget)
+                AdaptiveShedder(cfg.theta_d, cfg.shed_budget)
                 if ladder is None
-                else AdaptiveShedder(
-                    self.config.theta_d, self.config.shed_budget, ladder
-                )
+                else AdaptiveShedder(cfg.theta_d, cfg.shed_budget, ladder)
             )
             # Start from the controller's current rung so config and
             # controller never disagree about the live policy.
@@ -377,7 +377,7 @@ class Scuba(StagedJoinOperator):
             self.set_shedding_policy(self.shedder.observe(self.world.storage, now))
 
     def post_join_phase(self, now: float) -> None:
-        """Dissolve arrivals, advance survivors, refresh the grid."""
+        """Dissolve arrivals, advance survivors, re-index them."""
         self._post_join_maintenance(now)
 
     def set_shedding_policy(self, policy: SheddingPolicy) -> None:
@@ -466,7 +466,7 @@ class Scuba(StagedJoinOperator):
 
         use_filter = self.config.use_between_filter
         (survivor_l, survivor_r), mixed, cache_hits, cache_misses = state.sweep(
-            self.world.grid, use_filter
+            self.footprint_grid, use_filter
         )
         self.join_pairs_batched += mixed
         if use_filter:
@@ -606,8 +606,9 @@ class Scuba(StagedJoinOperator):
         self.view_cache_misses += view_misses
 
     def _post_join_maintenance(self, now: float) -> None:
-        """Dissolve arrivals, advance survivors, refresh the grid."""
+        """Dissolve arrivals, advance survivors, re-index them."""
         cfg = self.config
+        grid = self.world.grid
         if cfg.stale_after is not None:
             cutoff = now - cfg.stale_after
             self.evicted_stale += self.objects_table.evict_stale(cutoff)
@@ -637,7 +638,9 @@ class Scuba(StagedJoinOperator):
                 cluster.recentre()
                 cluster.recompute_radius()
             cluster.update_expiry(now)
-            self.world.grid.refresh(cluster)
+            grid.place(cluster)
+        # Every survivor now sits at its ``now`` centroid in the index.
+        grid.rebase(now)
         self._prune_caches()
 
     def _prune_caches(self) -> None:
@@ -660,6 +663,12 @@ class Scuba(StagedJoinOperator):
     @property
     def cluster_count(self) -> int:
         return self.world.cluster_count
+
+    @property
+    def footprint_entries(self) -> int:
+        """(cell, cluster) rows of the last join's N×N footprint build —
+        the paper's ClusterGrid directory size."""
+        return self._batch_state.footprint_entries
 
     @property
     def split_joins(self) -> int:

@@ -51,9 +51,6 @@ class FigureResult:
     columns: List[str]
     rows: List[Dict[str, object]] = field(default_factory=list)
 
-    def column_values(self, column: str) -> List[object]:
-        return [row[column] for row in self.rows]
-
 
 def format_table(result: FigureResult) -> str:
     """Fixed-width text rendering of a figure result."""
@@ -140,7 +137,7 @@ def fig09_grid_size(
                 "scuba_memory_mb": scuba.memory_mb,
                 "regular_grid_entries": regular_op.object_grid.entry_count
                 + regular_op.query_grid.entry_count,
-                "scuba_grid_entries": scuba_op.world.grid.entry_count,
+                "scuba_grid_entries": scuba_op.footprint_entries,
             }
         )
     return result
@@ -286,8 +283,7 @@ def _offline_kmeans_run(
 
         operator = Scuba()
         for cluster in clusters:
-            operator.world.storage.add(cluster)
-            operator.world.grid.register(cluster)
+            operator.world.add(cluster)
         started = time.perf_counter()
         operator.join_phase(now)
         join_seconds += time.perf_counter() - started

@@ -4,20 +4,25 @@ Both sides of the paper's comparison stand on the same index structure:
 
 * **SCUBA's ClusterGrid** (§4.1) — "a spatial grid table dividing the data
   space into N×N grid cells [maintaining] for each grid cell a list of
-  cluster ids of moving clusters that overlap with that cell"; and
+  cluster ids of moving clusters that overlap with that cell", which the
+  join rebuilds once per interval with :meth:`SpatialGrid.cells_for_circles`
+  from its cluster columns; and
 * the **regular grid-based operator** (§6) — objects and queries hashed by
   location into the same kind of grid, joined cell by cell.
 
 :class:`SpatialGrid` is the shared implementation: a dict from flat cell
 index to a set of member keys, with geometric helpers mapping points,
-circles and rectangles to the cells they touch.  Coordinates outside the
-world bounds are clamped to the border cells, so late entities that drift
-marginally out of bounds are still indexed.
+circles (one, or a whole column of them) and rectangles to the cells they
+touch.  Coordinates outside the world bounds are clamped to the border
+cells, so late entities that drift marginally out of bounds are still
+indexed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+
+import numpy as np
 
 from ..geometry import Rect
 
@@ -57,6 +62,11 @@ class SpatialGrid:
 
     def cell_of(self, x: float, y: float) -> CellKey:
         """The cell containing point ``(x, y)`` (clamped to the border)."""
+        # In-bounds points (nearly all) skip the two clamping calls.
+        col = int((x - self.bounds.min_x) / self._cell_w)
+        row = int((y - self.bounds.min_y) / self._cell_h)
+        if 0 <= col < self.nx and 0 <= row < self.ny:
+            return row * self.nx + col
         return self._row(y) * self.nx + self._col(x)
 
     def _low_col(self, x: float) -> int:
@@ -82,50 +92,62 @@ class SpatialGrid:
     def cells_for_circle(self, cx: float, cy: float, radius: float) -> List[CellKey]:
         """All cells whose rectangle intersects the closed disc.
 
-        A bounding-box sweep with a per-cell disc test: exact, and cheap
-        because cluster radii are small relative to the world.
+        A bounding-box sweep with a per-cell disc test.  Border cells
+        extend outward without limit — the region :meth:`cell_of` clamps
+        into them — so two discs that meet anywhere, inside the world or
+        beyond its edge, share a cell.  The centre's own cell is always
+        included, even when rounding puts a zero-radius centre a hair
+        outside it.
         """
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
-        col_lo = self._low_col(cx - radius)
-        col_hi = self._col(cx + radius)
-        row_lo = self._low_row(cy - radius)
-        row_hi = self._row(cy + radius)
+        b = self.bounds
         r_sq = radius * radius
-        # Squared x-gap from the centre to each column's closed extent:
-        # the same for every row, so computed once per column.
-        cell_w = self._cell_w
-        min_x = self.bounds.min_x
-        dx_sq: List[float] = []
-        for col in range(col_lo, col_hi + 1):
-            cell_min_x = min_x + col * cell_w
-            if cx < cell_min_x:
-                dx = cx - cell_min_x
-            else:
-                cell_max_x = cell_min_x + cell_w
-                dx = cx - cell_max_x if cx > cell_max_x else 0.0
-            dx_sq.append(dx * dx)
-        cell_h = self._cell_h
-        min_y = self.bounds.min_y
-        nx = self.nx
-        keys: List[CellKey] = []
-        for row in range(row_lo, row_hi + 1):
-            cell_min_y = min_y + row * cell_h
-            if cy < cell_min_y:
-                dy = cy - cell_min_y
-            else:
-                cell_max_y = cell_min_y + cell_h
-                dy = cy - cell_max_y if cy > cell_max_y else 0.0
-            dy_sq = dy * dy
-            key = row * nx + col_lo
-            for gap in dx_sq:
-                if gap + dy_sq <= r_sq:
-                    keys.append(key)
-                key += 1
-        # The centre's own cell is always included even for radius 0.
-        if not keys:
-            keys.append(self.cell_of(cx, cy))
-        return keys
+        keys = [
+            row * self.nx + col
+            for row in range(self._low_row(cy - radius), self._row(cy + radius) + 1)
+            for col in range(self._low_col(cx - radius), self._col(cx + radius) + 1)
+            if _gap_sq(cx, col, b.min_x, self._cell_w, self.nx)
+            + _gap_sq(cy, row, b.min_y, self._cell_h, self.ny)
+            <= r_sq
+        ]
+        return keys or [self.cell_of(cx, cy)]
+
+    def cells_for_circles(self, cx, cy, radius):
+        """:meth:`cells_for_circle` over parallel float64 columns of discs.
+
+        Returns int64 ``(owners, cells)``, one row per (disc, cell) pair,
+        ``owners`` indexing the input — exactly each disc's cells, with
+        the same float arithmetic, as :meth:`cells_for_circle`.
+        """
+        x_axis = (self.bounds.min_x, self._cell_w, self.nx)
+        y_axis = (self.bounds.min_y, self._cell_h, self.ny)
+        col_lo = _bins(cx - radius, *x_axis, low=True)
+        row_lo = _bins(cy - radius, *y_axis, low=True)
+        ncol = _bins(cx + radius, *x_axis) - col_lo + 1
+        counts = ncol * (_bins(cy + radius, *y_axis) - row_lo + 1)
+        owners = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        local = np.arange(owners.size, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        ncol = ncol[owners]
+        col = col_lo[owners] + local % ncol
+        row = row_lo[owners] + local // ncol
+        dx = _gaps(cx[owners], col, *x_axis)
+        dy = _gaps(cy[owners], row, *y_axis)
+        r = radius[owners]
+        keep = dx * dx + dy * dy <= r * r
+        owners = owners[keep]
+        cells = (row * self.nx + col)[keep]
+        hit = np.zeros(counts.size, dtype=bool)
+        hit[owners] = True
+        if not hit.all():
+            # Rounding left a zero-radius centre a hair outside its cell.
+            lone = np.flatnonzero(~hit)
+            owners = np.concatenate((owners, lone))
+            lone_cells = _bins(cy[lone], *y_axis) * self.nx + _bins(cx[lone], *x_axis)
+            cells = np.concatenate((cells, lone_cells))
+        return owners, cells
 
     def cells_for_rect(self, rect: Rect) -> List[CellKey]:
         """All cells intersecting ``rect``."""
@@ -204,22 +226,6 @@ class SpatialGrid:
         for cell in sorted(self._cells):
             yield cell, self._cells[cell]
 
-    def sweep_buckets(self) -> Iterator[Set[Hashable]]:
-        """Raw member sets of every multi-member cell, in flat order.
-
-        The pair-enumeration feed of the join sweep: the cells
-        :meth:`occupied_cells` visits, minus the single-member cells no
-        pair can come from.  Member order is left to the consumer (the
-        pair sweep row-sorts whole cell batches in one ndarray
-        operation), so there is no per-cell sort or tuple cache.  The
-        yielded sets are the live buckets — do not mutate them.
-        """
-        cells = self._cells
-        for cell in sorted(cells):
-            bucket = cells[cell]
-            if len(bucket) >= 2:
-                yield bucket
-
     def clear(self) -> None:
         self._cells.clear()
         self._sorted_cache.clear()
@@ -242,3 +248,33 @@ class SpatialGrid:
 
 
 _EMPTY_SET: Set[Hashable] = frozenset()  # type: ignore[assignment]
+
+
+def _bins(v, origin, size, n, low=False):
+    """Vectorised :meth:`SpatialGrid._col` (``low``: ``_low_col``);
+    clamping before truncating equals ``int`` then clamping."""
+    idx = np.clip((v - origin) / size, 0, n - 1).astype(np.int64)
+    if low:
+        idx -= (idx > 0) & (v <= origin + idx * size)
+    return idx
+
+
+def _gaps(v, idx, origin, size, n):
+    """Vectorised :func:`_gap_sq`, before squaring."""
+    lo = origin + idx * size
+    hi = lo + size
+    return np.where(
+        (v < lo) & (idx > 0), v - lo, np.where((v > hi) & (idx < n - 1), v - hi, 0.0)
+    )
+
+
+def _gap_sq(v: float, idx: int, origin: float, size: float, n: int) -> float:
+    """Squared gap from ``v`` to cell ``idx`` of ``n`` along one axis
+    (closed cells, the two border cells unbounded outward)."""
+    lo = origin + idx * size
+    if v < lo and idx > 0:
+        gap = v - lo
+    else:
+        hi = lo + size
+        gap = v - hi if v > hi and idx < n - 1 else 0.0
+    return gap * gap

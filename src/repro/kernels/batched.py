@@ -92,19 +92,22 @@ class PythonBatchBackend(ScalarBackend):
             queries.query_hws,
             queries.query_hhs,
         ):
-            lx = qx - hw
-            hx = qx + hw
-            ly = qy - hh
-            hy = qy + hh
-            if lx > o_max_x or hx < o_min_x or ly > o_max_y or hy < o_min_y:
+            # Bounding-box prune in the subtraction form (see the scalar
+            # kernel): exact for the extreme object.
+            if (
+                qx - o_max_x > hw
+                or o_min_x - qx > hw
+                or qy - o_max_y > hh
+                or o_min_y - qy > hh
+            ):
                 continue
             tests += n
             # Padded prune: 2 ulps of the largest x-magnitude in play
             # covers the rounding gap between the slab bounds and the
             # canonical abs-form test below.
             pad = 2.0 * ulp(abs(qx) + hw)
-            lo = bisect_left(sx, lx - pad)
-            hi = bisect_right(sx, hx + pad, lo)
+            lo = bisect_left(sx, qx - hw - pad)
+            hi = bisect_right(sx, qx + hw + pad, lo)
             if lo < hi:
                 extend(
                     [

@@ -79,14 +79,6 @@ def _query_arrays(view):
     return arrays
 
 
-def _query_ids_array(view):
-    ids = view.scratch.get("np_qid")
-    if ids is None:
-        ids = np.asarray(view.query_ids, dtype=np.int64)
-        view.scratch["np_qid"] = ids
-    return ids
-
-
 class NumpyBackend(PythonBatchBackend):
     """Array kernels for the member-loop cases; batched-Python fallbacks
     below the vectorisation threshold, scalar group tests."""
@@ -218,10 +210,10 @@ class NumpyBackend(PythonBatchBackend):
         # query of that query's segment).
         qbox = bbox[o_idx[qseg]]
         alive = (
-            (qxs - qhws <= qbox[:, 1])
-            & (qxs + qhws >= qbox[:, 0])
-            & (qys - qhhs <= qbox[:, 3])
-            & (qys + qhhs >= qbox[:, 2])
+            (qxs - qbox[:, 1] <= qhws)
+            & (qbox[:, 0] - qxs <= qhws)
+            & (qys - qbox[:, 3] <= qhhs)
+            & (qbox[:, 2] - qys <= qhhs)
         )
         alive_idx = np.flatnonzero(alive)
         if alive_idx.size == 0:
@@ -284,10 +276,10 @@ class NumpyBackend(PythonBatchBackend):
         # Bounding-box pre-filter, vectorised across queries (same logical
         # test-count semantics as the scalar path: n tests per passing query).
         alive = (
-            (qxs - qhws <= objects.obj_max_x)
-            & (qxs + qhws >= objects.obj_min_x)
-            & (qys - qhhs <= objects.obj_max_y)
-            & (qys + qhhs >= objects.obj_min_y)
+            (qxs - objects.obj_max_x <= qhws)
+            & (objects.obj_min_x - qxs <= qhws)
+            & (qys - objects.obj_max_y <= qhhs)
+            & (objects.obj_min_y - qys <= qhhs)
         )
         alive_idx = np.flatnonzero(alive)
         if alive_idx.size == 0:

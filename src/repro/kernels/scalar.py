@@ -48,12 +48,15 @@ class ScalarBackend(JoinKernelBackend):
             queries.query_hhs,
         ):
             # Window vs. object bounding box: skips the member loop for the
-            # common near-miss case of barely-overlapping clusters.
+            # common near-miss case of barely-overlapping clusters.  The
+            # subtraction form is the canonical ``abs(ox - qx) <= hw`` for
+            # the extreme object and, rounding being monotone, a bound for
+            # every other one — so it never prunes a match.
             if (
-                qx - hw <= o_max_x
-                and qx + hw >= o_min_x
-                and qy - hh <= o_max_y
-                and qy + hh >= o_min_y
+                qx - o_max_x <= hw
+                and o_min_x - qx <= hw
+                and qy - o_max_y <= hh
+                and o_min_y - qy <= hh
             ):
                 for oid, ox, oy in obj_rows:
                     tests += 1

@@ -38,7 +38,6 @@ class KnnConfig:
     """
 
     bounds: Rect = None  # type: ignore[assignment]
-    grid_size: int = 100
     theta_d: float = 100.0
     theta_s: float = 10.0
     delta: float = 2.0
@@ -70,7 +69,7 @@ class ScubaKnn(StagedJoinOperator):
 
     def __init__(self, config: Optional[KnnConfig] = None) -> None:
         self.config = config if config is not None else KnnConfig()
-        self.world = ClusterWorld(self.config.bounds, self.config.grid_size)
+        self.world = ClusterWorld(self.config.bounds, self.config.theta_d)
         self.clusterer = IncrementalClusterer(
             self.world,
             ClusteringSpec(theta_d=self.config.theta_d, theta_s=self.config.theta_s),
@@ -158,6 +157,7 @@ class ScubaKnn(StagedJoinOperator):
 
     def _post_join_maintenance(self, now: float) -> None:
         """Same cluster upkeep as the range operator."""
+        grid = self.world.grid
         for cluster in list(self.world.storage):
             if cluster.has_expired(now) or cluster.will_pass_destination(
                 self.config.delta
@@ -169,7 +169,8 @@ class ScubaKnn(StagedJoinOperator):
             cluster.recentre()
             cluster.recompute_radius()
             cluster.update_expiry(now)
-            self.world.grid.refresh(cluster)
+            grid.place(cluster)
+        grid.rebase(now)
 
     # -- introspection ---------------------------------------------------------------
 

@@ -49,18 +49,13 @@ def evaluate_range(
 ) -> RangeAnswer:
     """Entities of ``kind`` currently inside ``region``.
 
-    Uses the ClusterGrid to prune: only clusters registered in cells the
-    rectangle touches are inspected, and a cluster whose circle misses the
-    rectangle is skipped without looking at members — the same
-    filter-then-refine shape as the continuous join.
+    Every live cluster whose circle misses the rectangle is skipped
+    without looking at members — the same filter-then-refine shape as
+    the continuous join.
     """
     exact: Set[int] = set()
     possible: Set[int] = set()
-    candidate_ids: Set[int] = set()
-    for cell in world.grid.cells_for_rect(region):
-        candidate_ids.update(world.grid.members(cell))
-    for cid in sorted(candidate_ids):
-        cluster = world.storage.get(cid)
+    for cluster in world.storage.clusters():
         if not region.intersects_circle(cluster.circle()):
             continue
         cluster.flush_transform()

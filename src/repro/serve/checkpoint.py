@@ -39,8 +39,10 @@ SNAPSHOT_FORMAT = "scuba-snapshot"
 #: 2: the envelope's operators pickle object-backed clusters only and
 #: ``ScubaConfig`` has no storage/join-driver fields (version 1 could
 #: carry both).  3: ``ScubaConfig`` lost its batched-ingest switch and
-#: the clusterer keeps one counter per row outcome.
-SNAPSHOT_VERSION = 3
+#: the clusterer keeps one counter per row outcome.  4: the world's grid
+#: is a centroid index (one cell per cluster, no footprint registration)
+#: and clusters no longer carry their registered cells.
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(RuntimeError):

@@ -151,20 +151,25 @@ class TestGridConsistency:
         cluster = clusterer.ingest(obj(1, 500, 500))
         for i in range(2, 8):
             clusterer.ingest(obj(i, 500 + i * 12, 500))
-        # Every member's cell must be covered by the registration.
+        grid = clusterer.world.grid
+        # One entry, in the cell of the current centroid ...
+        assert grid.entries() == {
+            cluster.cid: grid.cell_of(cluster.cx, cluster.cy)
+        }
+        # ... and a probe from any member's position finds the cluster.
         for member in cluster.members():
             loc = cluster.member_location(member)
-            cell = clusterer.world.grid.cell_of(loc.x, loc.y)
-            assert cluster.cid in clusterer.world.grid.members(cell)
+            assert cluster.cid in grid.probe(loc.x, loc.y, 100.0)
 
     def test_dissolved_cluster_removed_from_grid(self, clusterer):
         cluster = clusterer.ingest(obj(1, 500, 500))
         clusterer.ingest(obj(2, 510, 500))
-        cells = cluster.grid_cells
+        grid = clusterer.world.grid
+        cell = grid.entries()[cluster.cid]
         clusterer.ingest(obj(1, 515, 500, t=1.0, cn=2, cn_loc=Point(0, 0)))
         clusterer.ingest(obj(2, 520, 500, t=1.0, cn=2, cn_loc=Point(0, 0)))
-        for cell in cells:
-            assert cluster.cid not in clusterer.world.grid.members(cell)
+        assert cluster.cid not in grid.entries()
+        assert cluster.cid not in grid.members(cell)
 
     def test_relocated_solo_cluster_moves_in_grid(self, clusterer):
         cluster = clusterer.ingest(obj(1, 500, 500))

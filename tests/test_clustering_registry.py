@@ -67,7 +67,7 @@ class TestClusterWorld:
         world = ClusterWorld(BOUNDS, 100)
         cluster = world.create_cluster(Point(500, 500), 1, Point(900, 900), 0.0)
         assert cluster.cid in world.storage
-        assert cluster.grid_cells
+        assert world.grid.entries() == {cluster.cid: world.grid.cell_of(500, 500)}
         assert world.cluster_count == 1
 
     def test_absorb_assigns_home(self):
@@ -104,33 +104,63 @@ class TestClusterWorld:
             assert world.home.cluster_of(i, EntityKind.OBJECT) is None
 
 
-class TestClusterGridSlack:
-    def test_small_drift_keeps_registration(self):
-        world = ClusterWorld(BOUNDS, 100)
-        cluster = world.create_cluster(Point(500, 500), 1, Point(9000, 500), 0.0)
-        world.absorb(cluster, obj(1, 500, 500))
-        cells_before = cluster.grid_cells
-        # Nudge within the slack: registration unchanged.
-        cluster.cx += 1.0
-        world.grid.refresh(cluster)
-        assert cluster.grid_cells == cells_before
+class TestCentroidIndex:
+    """One entry per cluster, at its centroid's cell; moved only when the
+    cell changes, dropped on dissolve."""
 
-    def test_large_drift_reregisters(self):
+    def test_write_within_the_cell_keeps_the_entry(self):
         world = ClusterWorld(BOUNDS, 100)
+        grid = world.grid
         cluster = world.create_cluster(Point(500, 500), 1, Point(9000, 500), 0.0)
         world.absorb(cluster, obj(1, 500, 500))
+        cell = grid.entries()[cluster.cid]
+        moves, skips = grid.reregistrations, grid.refresh_skips
+        world.absorb(cluster, obj(2, 520, 500))
+        assert grid.entries()[cluster.cid] == cell
+        assert grid.reregistrations == moves
+        assert grid.refresh_skips == skips + 1
+
+    def test_cell_change_moves_the_entry(self):
+        world = ClusterWorld(BOUNDS, 100)
+        grid = world.grid
+        cluster = world.create_cluster(Point(500, 500), 1, Point(9000, 500), 0.0)
+        world.absorb(cluster, obj(1, 500, 500))
+        old = grid.entries()[cluster.cid]
+        moves = grid.reregistrations
         cluster.cx += 500.0
-        world.grid.refresh(cluster)
-        cell = world.grid.cell_of(cluster.cx, cluster.cy)
-        assert cluster.cid in world.grid.members(cell)
+        grid.place(cluster)
+        new = grid.cell_of(cluster.cx, cluster.cy)
+        assert new != old
+        assert grid.entries()[cluster.cid] == new
+        assert grid.members(new) == {cluster.cid}
+        assert grid.members(old) == set()
+        assert grid.reregistrations == moves + 1
 
-    def test_registration_always_covers_exact_footprint(self):
+    def test_dissolve_drops_the_entry(self):
         world = ClusterWorld(BOUNDS, 100)
+        grid = world.grid
         cluster = world.create_cluster(Point(500, 500), 1, Point(9000, 500), 0.0)
-        for i in range(10):
-            world.absorb(cluster, obj(i, 500 + 9 * i, 500))
-            exact = cluster.filter_circle()
-            needed = world.grid.cells_for_circle(
-                exact.center.x, exact.center.y, exact.radius
-            )
-            assert set(needed) <= set(cluster.grid_cells)
+        world.absorb(cluster, obj(1, 500, 500))
+        cell = grid.entries()[cluster.cid]
+        world.evict(cluster, 1, EntityKind.OBJECT)
+        assert grid.entries() == {}
+        assert grid.members(cell) == set()
+
+    def test_probe_reaches_lazily_advanced_centroids(self):
+        # A cluster placed at t=0 and advanced later (no write) is still
+        # handed out by a probe around where it has moved to.
+        world = ClusterWorld(BOUNDS, 100)
+        grid = world.grid
+        cluster = world.create_cluster(Point(500, 500), 1, Point(9000, 500), 0.0)
+        world.absorb(cluster, obj(1, 500, 500, speed=100.0))
+        grid.note_time(5.0)
+        cluster.advance_to(5.0)
+        assert cluster.cx == 1000.0
+        assert grid.entries()[cluster.cid] == grid.cell_of(500, 500)
+        assert cluster.cid in grid.probe(1000.0, 500.0, 1.0)
+
+    def test_zero_theta_d_keeps_the_join_grid_resolution(self):
+        world = ClusterWorld(BOUNDS, 0.0, 100)
+        assert (world.grid.nx, world.grid.ny) == (100, 100)
+        cluster = world.create_cluster(Point(500, 500), 1, Point(9000, 500), 0.0)
+        assert list(world.grid.probe(500.0, 500.0, 0.0)) == [cluster.cid]

@@ -4,7 +4,7 @@
 (``IncrementalClusterer.ingest_tick``); ``Scuba.on_update`` is the
 per-update API and the reference.  The contract is exact equality: after
 every tick the pass leaves every cluster / member field, the home table,
-the grid registrations, both attribute tables and the ingest counters as a
+the centroid index, both attribute tables and the ingest counters as a
 loop of ``on_update`` over the same rows would — under every shedding
 policy, for list and ndarray columns, serial and sharded — and therefore
 the same answers.
@@ -87,16 +87,22 @@ def full_state(op):
         "clusters": clusters,
         "next_cid": world.storage._next_cid,
         "home": list(world.home.key_map().items()),
-        "registered": grid.cover_maps()[0],
-        "verified": grid.cover_maps()[1],
-        "cells": {cell: set(m) for cell, m in grid._cells.items() if m},
-        "grid_counts": (grid.refresh_skips, grid.reregistrations),
+        # The centroid index, every field: the entries (dict order
+        # included), the cell buckets, counters, speed and time bounds.
+        "index": index_state(grid),
         "tables": [
             (list(t._attrs.items()), list(t._last_seen.items()))
             for t in (op.objects_table, op.queries_table)
         ],
         "outcomes": outcome_counts(op.clusterer),
     }
+
+
+def index_state(grid):
+    state = dict(vars(grid))
+    state["_cells"] = {cell: sorted(b) for cell, b in grid._cells.items()}
+    state["_cell_of"] = list(grid._cell_of.items())
+    return state
 
 
 def outcome_counts(clusterer):
@@ -110,8 +116,11 @@ def test_full_state_names_every_field():
     # The equality below is only as strong as the field lists it walks.
     for name in ("version", "_speed_sum", "avespeed", "radius", "trans_x",
                  "trans_y", "exptime", "max_query_half_diag", "shed_count",
-                 "grid_cells", "nucleus_radius", "last_moved", "successors"):
+                 "nucleus_radius", "last_moved", "successors"):
         assert name in MovingCluster.__slots__
+    for name in ("_cells", "_cell_of", "max_speed", "floor", "horizon",
+                 "refresh_skips", "reregistrations"):
+        assert name in index_state(Scuba().world.grid)
     for name in ("range_width", "range_height", "half_diag", "position_shed"):
         assert name in ClusterMember.__slots__
 
@@ -284,16 +293,18 @@ class TestHostileTicks:
         assert (member.cn_node, member.cn_x, member.cn_y) == (2, 500.0, 1000.0)
 
     def test_homed_cluster_missing_from_the_grid_is_registered_again(self):
-        # No ingest path leaves a homed cluster unregistered; if one ever
-        # is, the pass repairs it the way ClusterGrid.refresh does.
+        # No ingest path leaves a homed cluster out of the centroid index;
+        # if one ever is, the next write of its centroid files it again —
+        # here a single-member cluster following its entity, in both paths.
         ops = make_ops()
-        feed(ops, 0.0, convoy(0.0))
+        feed(ops, 0.0, [obj(1, 500, 500, 0.0)])
         for op in ops:
             [cluster] = op.world.storage.clusters()
-            op.world.grid.unregister(cluster)
-        feed(ops, 1.0, convoy(1.0))
+            op.world.grid.drop(cluster.cid)
+        feed(ops, 1.0, [obj(1, 520, 510, 1.0)])
+        grid = ops[1].world.grid
         [cluster] = ops[1].world.storage.clusters()
-        assert cluster.grid_cells
+        assert grid.entries() == {cluster.cid: grid.cell_of(520, 510)}
 
     def test_row_form_sequences_take_the_reference_loop(self):
         reference, listed, _ = make_ops()
@@ -318,12 +329,15 @@ class TestHeartbeats:
         assert [m.last_t for m in cluster.members()] == [1.0, 1.0]
         assert ops[1].clusterer.heartbeats == 2
 
-    def test_grid_refresh_version_early_out(self):
+    def test_heartbeats_leave_the_centroid_index_alone(self):
+        # Only the two absorbs of t=0 write a centroid (the second stays
+        # in the first one's cell); heartbeats write nothing.
         ops = make_ops()
         for t in (0.0, 1.0, 2.0):
             feed(ops, t, self.parked(t))
-        assert ops[1].world.grid.refresh_skips == 4
-        assert ops[1].join_counters()["grid_refresh_skips"] == 4
+        grid = ops[1].world.grid
+        assert (grid.refresh_skips, grid.reregistrations) == (2, 0)
+        assert ops[1].join_counters()["grid_refresh_skips"] == 2
 
 
 def make_generator(seed, **kwargs):

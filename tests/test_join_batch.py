@@ -197,16 +197,14 @@ class TestNaiveEquivalence:
         scuba = Scuba(ScubaConfig(kernel_backend=kernel_backend))
         assert self._tie_answers(scuba, flank=True) == expected
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the kernels' per-query bounding-box pre-filter uses the "
-        "interval form (qx - hw <= o_max_x), which rounds differently from "
-        "the canonical abs form: an edge-tie object that is its cluster's "
-        "whole bounding box is pruned before the exact test (ROADMAP item 4)",
-    )
-    def test_window_edge_tie_that_is_the_whole_bounding_box(self):
+    @pytest.mark.parametrize("kernel_backend", ["numpy", "scalar"])
+    def test_window_edge_tie_that_is_the_whole_bounding_box(self, kernel_backend):
+        """A tie object that is its cluster's whole bounding box survives
+        the per-query bounding-box pre-filter (its subtraction form is the
+        canonical abs test for the extreme object)."""
         expected = self._tie_answers(NaiveJoin(), flank=False)
-        assert self._tie_answers(Scuba(), flank=False) == expected
+        scuba = Scuba(ScubaConfig(kernel_backend=kernel_backend))
+        assert self._tie_answers(scuba, flank=False) == expected
 
 
 class TestShardedEquivalence:

@@ -16,11 +16,11 @@ def qry(qid, x, y, t=0.0, speed=50.0, cn=1, cn_loc=Point(9000, 0), w=50.0, h=50.
     return QueryUpdate(qid, Point(x, y), t, speed, cn, cn_loc, w, h)
 
 
-def crowded_scene(op):
+def crowded_scene(op, speed=50.0):
     """Three adjacent clusters (distinct destinations) that all pairwise join."""
-    op.on_update(obj(1, 100, 100, cn=1))
-    op.on_update(obj(2, 130, 100, cn=2, cn_loc=Point(0, 9000)))
-    op.on_update(qry(1, 115, 100, cn=3, cn_loc=Point(0, 0)))
+    op.on_update(obj(1, 100, 100, speed=speed, cn=1))
+    op.on_update(obj(2, 130, 100, speed=speed, cn=2, cn_loc=Point(0, 9000)))
+    op.on_update(qry(1, 115, 100, speed=speed, cn=3, cn_loc=Point(0, 0)))
     return op
 
 
@@ -47,7 +47,8 @@ class TestViewCache:
         assert counters["view_cache_misses"] > 0
 
     def test_between_memo_skips_unchanged_pairs_not_the_count(self):
-        op = crowded_scene(Scuba(ScubaConfig(expire_clusters=False)))
+        # Parked, so the pairs still overlap at the second evaluation.
+        op = crowded_scene(Scuba(ScubaConfig(expire_clusters=False)), speed=0.0)
         op.evaluate(2.0)
         tests_first = op.between_tests
         misses_first = op.between_cache_misses

@@ -235,12 +235,12 @@ def test_snapshot_envelope_rejects_foreign_files(tmp_path):
         load_snapshot(tmp_path / "missing.pkl")
 
 
-@pytest.mark.parametrize("version", [1, 2, SNAPSHOT_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, SNAPSHOT_VERSION + 1])
 def test_snapshot_envelope_rejects_other_versions(tmp_path, version):
     """Version 1 envelopes could carry columnar clusters, version 2 ones a
-    ``ScubaConfig`` with the since-removed batched-ingest switch; they
-    are refused like future ones, by the version line, before anything is
-    restored."""
+    ``ScubaConfig`` with the since-removed batched-ingest switch, version
+    3 ones a footprint-registered cluster grid; they are refused like
+    future ones, by the version line, before anything is restored."""
     path = save_snapshot(tmp_path / "snap.pkl", {"cursor": 0})
     envelope = pickle.loads(path.read_bytes())
     envelope["version"] = version
